@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ParseError
 
@@ -92,3 +93,32 @@ class TokenStream:
     def error(self, message: str) -> ParseError:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column)
+
+
+def parse_atom(stream: TokenStream, arities: dict[str, int], parse_arg: Callable):
+    """Parse `rel(arg, ...)`, reading each argument with `parse_arg`.
+
+    The relation name is lower-cased and its arity checked against (and
+    recorded in) `arities`. Returns the relation, the argument tuple and
+    the relation-name token.
+    """
+    tok = stream.peek()
+    if tok.kind != "word" or not tok.text[0].isalpha():
+        found = "end of input" if tok.kind == "end" else repr(tok.text)
+        raise stream.error(f"expected a relation name, found {found}")
+    stream.advance()
+    relation = tok.text.lower()
+    stream.expect("(", "'(' after relation name")
+    args = [parse_arg(stream)]
+    while stream.peek().text == ",":
+        stream.advance()
+        args.append(parse_arg(stream))
+    stream.expect(")")
+    seen = arities.setdefault(relation, len(args))
+    if seen != len(args):
+        raise ParseError(
+            f"arity conflict for relation '{relation}': {seen} vs {len(args)}",
+            tok.line,
+            tok.column,
+        )
+    return relation, tuple(args), tok

@@ -22,13 +22,15 @@ from .hitset import (
 )
 from .model import GroundTuple, Instance
 from .query import UCQ, Disjunct, QueryAtom, Variable
-from .support import endogenous_support, evaluate, set_key
+from .support import endogenous_support, set_key
 
 
 def hitting_framework(instance: Instance, q: UCQ) -> Optional[Hypergraph]:
-    """The hypergraph whose hitting sets drive every cause computation:
-    vertices are the endogenous tuples, edges the minimal endogenous
-    support sets. None when the query holds on exogenous tuples alone."""
+    """The one hypergraph every view reads: vertices are the endogenous
+    tuples, edges the minimal endogenous support sets. Contingencies,
+    repairs (over the violation view) and diagnoses are its minimal hitting
+    sets. None when the query holds on exogenous tuples alone; no edges
+    when the query is false."""
     family = endogenous_support(q, instance)
     if family.vacuous:
         return None
@@ -110,9 +112,9 @@ def decide_rpd(instance: Instance, q: UCQ, t: GroundTuple, v: Fraction) -> bool:
     v = Fraction(v)
     if v != 0 and v.numerator != 1:
         raise CausekitError(f"threshold must be 0 or 1/k, got {v}")
-    if not evaluate(q, instance):
-        raise CausekitError("the query is false in the instance; nothing to explain")
     framework = hitting_framework(instance, q)
+    if framework is not None and not framework.edges:
+        raise CausekitError("the query is false in the instance; nothing to explain")
     is_cause = framework is not None and any(t in e for e in framework.edges)
     if v == 0:
         return is_cause

@@ -73,13 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("contingency", _cmd_contingency, "minimal contingency sets of one tuple")
     p.add_argument("--tuple", required=True, metavar="T")
-    p.add_argument("--limit", type=int, metavar="N", help="abort beyond N result sets")
+    p.add_argument("--limit", type=non_negative_int, metavar="N", help="abort beyond N result sets")
 
     cmd("mrc", _cmd_mrc, "most responsible causes")
 
     p = cmd("repairs", _cmd_repairs, "repairs with respect to the constraints")
     p.add_argument("--semantics", choices=("s", "c"), default="s")
-    p.add_argument("--limit", type=int, metavar="N", help="abort beyond N repairs")
+    p.add_argument("--limit", type=non_negative_int, metavar="N", help="abort beyond N repairs")
 
     p = cmd("repair-check", _cmd_repair_check, "check a candidate subset repair")
     p.add_argument("--candidate", required=True, metavar="FILE")
@@ -128,12 +128,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def non_negative_int(text: str) -> int:
+    """A `--limit` value; a negative one is a usage error, not a budget."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 # --- input loading -----------------------------------------------------------
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise CausekitError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
 
 
 def _load_instance(args) -> Instance:

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from .causal import hitting_framework
 from .errors import CausekitError
-from .hitset import Hypergraph, minimal_hitting_sets
+from .hitset import minimal_hitting_sets
 from .model import GroundTuple, Instance, canonical_sort, format_constant
-from .query import UCQ, Constant, DenialConstraint, Disjunct, dcs_to_ucq
-from .repair import Repair, check_semantics
-from .support import SupportFamily, endogenous_support, set_key, support_family
+from .query import UCQ, Constant, DenialConstraint, Disjunct
+from .repair import Repair, check_semantics, least_sized, repairs
+from .support import SupportFamily, endogenous_support
 
 
 @dataclass(frozen=True)
@@ -60,17 +61,15 @@ def diagnoses(
     instance = problem.instance
     if t is not None and t not in instance.endo:
         raise CausekitError(f"tuple {t} is not an endogenous tuple of the instance")
-    family = conflict_sets(problem)
-    if family.vacuous:
+    hypergraph = hitting_framework(instance, UCQ((problem.observation,)))
+    if hypergraph is None:
         return []
-    hypergraph = Hypergraph.build(instance.endo, family.sets)
     deltas = minimal_hitting_sets(hypergraph)
     if t is not None:
         deltas = [d for d in deltas if t in d]
-    if minimality == "c" and deltas:
-        least = min(len(d) for d in deltas)
-        deltas = [d for d in deltas if len(d) == least]
-    return [Diagnosis(d) for d in sorted(deltas, key=set_key)]
+    if minimality == "c":
+        deltas = least_sized(deltas)
+    return [Diagnosis(d) for d in deltas]
 
 
 def repairs_from_diagnoses(
@@ -79,20 +78,10 @@ def repairs_from_diagnoses(
     minimality: str = "s",
 ) -> list[Repair]:
     """Repairs of an all-endogenous instance read off its diagnoses: each
-    minimal diagnosis is exactly the removed set of a repair."""
-    minimality = check_semantics(minimality)
-    view = instance.all_endogenous()
-    family = support_family(dcs_to_ucq(constraints), view)
-    hypergraph = Hypergraph.build(view.endo, family.sets)
-    deltas = minimal_hitting_sets(hypergraph)
-    if minimality == "c":
-        least = min(len(d) for d in deltas)
-        deltas = [d for d in deltas if len(d) == least]
-    everything = view.endo
-    return [
-        Repair(kept=everything - d, removed=d, semantics=minimality)
-        for d in sorted(deltas, key=set_key)
-    ]
+    minimal diagnosis is exactly the removed set of a repair. Both are the
+    minimal hitting sets of the same violation hypergraph, so this is
+    `repairs(instance, constraints, minimality)`."""
+    return repairs(instance, constraints, minimality)
 
 
 def render_theory(instance: Instance, q: Disjunct) -> str:

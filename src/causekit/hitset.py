@@ -13,20 +13,9 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
 from .errors import CausekitError, ResourceLimitError
+from .support import minimal_sets, set_key
 
 Vertex = Hashable
-
-
-def _set_key(s: frozenset) -> tuple:
-    return tuple(sorted(s))
-
-
-def _minimal(sets: Iterable[frozenset]) -> list[frozenset]:
-    kept: list[frozenset] = []
-    for s in sorted(sets, key=len):
-        if not any(k <= s for k in kept):
-            kept.append(s)
-    return kept
 
 
 @dataclass(frozen=True)
@@ -49,7 +38,7 @@ class Hypergraph:
                 raise CausekitError("hypergraph edges must be nonempty")
             if not e <= vset:
                 raise CausekitError("hypergraph edge mentions unknown vertices")
-        ordered = tuple(sorted(eset, key=_set_key))
+        ordered = tuple(sorted(eset, key=set_key))
         return cls(vset, ordered, max((len(e) for e in ordered), default=0))
 
 
@@ -78,12 +67,12 @@ def minimal_hitting_sets(
         hits = [s for s in current if s & edge]
         misses = [s for s in current if not s & edge]
         extended = {s | {v} for s in misses for v in edge}
-        current = _minimal(hits + list(extended))
+        current = minimal_sets(hits + list(extended))
         if max_results is not None and len(current) > max_results:
             raise ResourceLimitError(
                 f"hitting-set result budget exceeded: {len(current)} > {max_results}"
             )
-    return sorted(current, key=_set_key)
+    return sorted(current, key=set_key)
 
 
 def exists_hs_within(h: Hypergraph, k: int, forced: Optional[Vertex] = None) -> bool:
@@ -136,7 +125,7 @@ def _branch(edges: list[frozenset], budget: int) -> bool:
         return False
     if budget >= len(edges):
         return True  # one vertex per edge always suffices
-    edge = min(edges, key=_set_key)
+    edge = min(edges, key=set_key)
     for v in sorted(edge):
         rest = [e for e in edges if v not in e]
         if _branch(rest, budget - 1):

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ._scan import TokenStream, is_constant_word, tokenize, unquote
+from ._scan import TokenStream, is_constant_word, parse_atom, tokenize, unquote
 from .errors import CausekitError, ParseError
 
 _PLAIN_CONSTANT = re.compile(r"[a-z0-9][A-Za-z0-9_]*\Z")
@@ -118,7 +118,9 @@ def parse_instance(text: str) -> Instance:
             stream.expect("]")
             section_endo = name.text == "endogenous"
             continue
-        fact, where = _parse_fact(stream, arities, spelling)
+        relation, args, where = parse_atom(stream, arities, _parse_constant)
+        spelling.setdefault(relation, where.text)
+        fact = GroundTuple(relation, args)
         stream.expect(".", "'.' after fact")
         target, other = (endo, exo) if section_endo else (exo, endo)
         if fact in other:
@@ -133,36 +135,12 @@ def parse_fact(text: str) -> GroundTuple:
     The trailing period is optional.
     """
     stream = TokenStream(tokenize(text))
-    fact, _ = _parse_fact(stream, {}, {})
+    fact = GroundTuple(*parse_atom(stream, {}, _parse_constant)[:2])
     if stream.peek().text == ".":
         stream.advance()
     if not stream.at_end():
         raise stream.error("unexpected input after fact")
     return fact
-
-
-def _parse_fact(stream: TokenStream, arities: dict[str, int], spelling: dict[str, str]):
-    tok = stream.peek()
-    if tok.kind != "word" or not tok.text[0].isalpha():
-        found = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise stream.error(f"expected a relation name, found {found}")
-    stream.advance()
-    relation = tok.text.lower()
-    spelling.setdefault(relation, tok.text)
-    stream.expect("(", "'(' after relation name")
-    args = [_parse_constant(stream)]
-    while stream.peek().text == ",":
-        stream.advance()
-        args.append(_parse_constant(stream))
-    stream.expect(")")
-    seen = arities.setdefault(relation, len(args))
-    if seen != len(args):
-        raise ParseError(
-            f"arity conflict for relation '{relation}': {seen} vs {len(args)}",
-            tok.line,
-            tok.column,
-        )
-    return GroundTuple(relation, tuple(args)), tok
 
 
 def _parse_constant(stream: TokenStream) -> str:

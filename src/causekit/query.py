@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from ._scan import TokenStream, is_constant_word, is_variable_word, tokenize, unquote
+from ._scan import TokenStream, is_constant_word, is_variable_word, parse_atom, tokenize, unquote
 from .errors import CausekitError, ParseError
 from .model import format_constant
 
@@ -151,10 +151,10 @@ def parse_program(text: str) -> UCQ | list[DenialConstraint]:
                 tok.column,
             )
         stream.expect(":-", "':-'")
-        atoms = [_parse_atom(stream, arities)]
+        atoms = [QueryAtom(*parse_atom(stream, arities, _parse_term)[:2])]
         while stream.peek().text == ",":
             stream.advance()
-            atoms.append(_parse_atom(stream, arities))
+            atoms.append(QueryAtom(*parse_atom(stream, arities, _parse_term)[:2]))
         stream.expect(".", "'.' after rule")
         heads.append(head)
         bodies.append(tuple(atoms))
@@ -163,29 +163,6 @@ def parse_program(text: str) -> UCQ | list[DenialConstraint]:
     if saw_headless:
         return [DenialConstraint(body) for body in bodies]
     return UCQ(tuple(Disjunct(body) for body in bodies))
-
-
-def _parse_atom(stream: TokenStream, arities: dict[str, int]) -> QueryAtom:
-    tok = stream.peek()
-    if tok.kind != "word" or not tok.text[0].isalpha():
-        found = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise stream.error(f"expected a relation name, found {found}")
-    stream.advance()
-    relation = tok.text.lower()
-    stream.expect("(", "'(' after relation name")
-    terms = [_parse_term(stream)]
-    while stream.peek().text == ",":
-        stream.advance()
-        terms.append(_parse_term(stream))
-    stream.expect(")")
-    seen = arities.setdefault(relation, len(terms))
-    if seen != len(terms):
-        raise ParseError(
-            f"arity conflict for relation '{relation}': {seen} vs {len(terms)}",
-            tok.line,
-            tok.column,
-        )
-    return QueryAtom(relation, tuple(terms))
 
 
 def _parse_term(stream: TokenStream) -> Term:

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .causal import hitting_framework
 from .errors import CausekitError
 from .hitset import Hypergraph, min_hs_size_containing, minimal_hitting_sets
 from .model import GroundTuple, Instance
 from .query import DenialConstraint, dcs_to_ucq
-from .support import evaluate, set_key, support_family
 
 SEMANTICS = ("s", "c")
 
@@ -36,6 +36,20 @@ def check_semantics(semantics: str) -> str:
     return s
 
 
+def least_sized(sets: list[frozenset]) -> list[frozenset]:
+    """The members of least cardinality, in their given order: the "c"
+    filter applied to s-minimal removal sets and diagnoses."""
+    least = min((len(s) for s in sets), default=0)
+    return [s for s in sets if len(s) == least]
+
+
+def _violations(instance: Instance, constraints: list[DenialConstraint]) -> Hypergraph:
+    """The violation hypergraph of the all-endogenous instance: every tuple
+    is a vertex, every minimal violating set an edge. Never vacuous, since
+    no tuple is exogenous."""
+    return hitting_framework(instance.all_endogenous(), dcs_to_ucq(constraints))
+
+
 def repairs(
     instance: Instance,
     constraints: list[DenialConstraint],
@@ -50,22 +64,11 @@ def repairs(
     minimal hitting sets of the violation supports.
     """
     semantics = check_semantics(semantics)
-    removals = _removal_sets(instance, constraints, max_results)
+    removals = minimal_hitting_sets(_violations(instance, constraints), max_results=max_results)
     if semantics == "c":
-        least = min(len(r) for r in removals)
-        removals = [r for r in removals if len(r) == least]
+        removals = least_sized(removals)
     everything = instance.tuples
-    return [
-        Repair(kept=everything - r, removed=r, semantics=semantics)
-        for r in sorted(removals, key=set_key)
-    ]
-
-
-def _removal_sets(instance, constraints, max_results=None) -> list[frozenset[GroundTuple]]:
-    view = instance.all_endogenous()
-    family = support_family(dcs_to_ucq(constraints), view)
-    hypergraph = Hypergraph.build(view.endo, family.sets)
-    return minimal_hitting_sets(hypergraph, max_results=max_results)
+    return [Repair(kept=everything - r, removed=r, semantics=semantics) for r in removals]
 
 
 def difference_sets(
@@ -82,12 +85,10 @@ def difference_sets(
     semantics = check_semantics(semantics)
     if t not in instance.endo:
         raise CausekitError(f"tuple {t} is not an endogenous tuple of the instance")
-    removals = _removal_sets(instance, [constraint])
+    removals = minimal_hitting_sets(_violations(instance, [constraint]))
     if semantics == "c":
-        least = min((len(r) for r in removals), default=0)
-        removals = [r for r in removals if len(r) == least]
-    chosen = [r for r in removals if t in r and r <= instance.endo]
-    return sorted(chosen, key=set_key)
+        removals = least_sized(removals)
+    return [r for r in removals if t in r and r <= instance.endo]
 
 
 def is_s_repair(
@@ -95,19 +96,22 @@ def is_s_repair(
     constraints: list[DenialConstraint],
     kept: Iterable[GroundTuple],
 ) -> bool:
-    """Polynomial subset-repair check: the candidate satisfies every
-    constraint and adding back any removed tuple breaks one."""
+    """Polynomial subset-repair check on the violation hypergraph: the
+    removed tuples form a minimal hitting set. No edge lies inside the
+    candidate, and every removed tuple is the only missing member of some
+    edge."""
     candidate = frozenset(kept)
     everything = instance.tuples
     if not candidate <= everything:
         raise CausekitError("candidate repair is not a subset of the instance")
-    view = dcs_to_ucq(constraints)
-    if evaluate(view, Instance(candidate, frozenset())):
-        return False
-    return all(
-        evaluate(view, Instance(candidate | {t}, frozenset()))
-        for t in everything - candidate
-    )
+    private = set()
+    for edge in _violations(instance, constraints).edges:
+        missing = edge - candidate
+        if not missing:
+            return False
+        if len(missing) == 1:
+            private |= missing
+    return everything - candidate <= private
 
 
 def repair_size_at_least(
@@ -128,10 +132,7 @@ def repair_size_at_least(
     n = len(everything)
     if m < 0 or m > n:
         raise CausekitError(f"size bound {m} outside [0, {n}]")
-    view = instance.all_endogenous()
-    family = support_family(dcs_to_ucq([constraint]), view)
-    hypergraph = Hypergraph.build(view.endo, family.sets)
-    smallest = min_hs_size_containing(hypergraph, t)
+    smallest = min_hs_size_containing(_violations(instance, [constraint]), t)
     if smallest is None:
         return False
     return n - smallest >= m

@@ -109,6 +109,17 @@ def test_decide_rpd_requires_true_query():
         decide_rpd(inst("s(a1)."), ucq(CHAIN_Q), f("s(a1)"), Fraction(0))
 
 
+def test_decide_rpd_on_vacuous_query():
+    # s(a4), r(a4,a3), s(a3) satisfy the query on exogenous tuples alone, so
+    # no endogenous tuple has positive responsibility, r(a3,a3) included.
+    instance = inst("[endogenous] r(a3,a3). s(a1). [exogenous] s(a3). s(a4). r(a4,a3).")
+    q = ucq(CHAIN_Q)
+    assert evaluate(q, instance)
+    for t in instance.endo:
+        assert not decide_rpd(instance, q, t, Fraction(0))
+        assert not decide_rpd(instance, q, t, Fraction(1, 2))
+
+
 def test_decide_rpd_rejects_bad_threshold(ex1):
     instance, q = ex1
     with pytest.raises(CausekitError):

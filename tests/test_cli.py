@@ -211,6 +211,23 @@ def test_resource_limit_message(files, tmp_path, capsys):
     assert code == 1 and "resource limit exceeded" in err
 
 
+def test_non_utf8_input_exits_one(files, tmp_path, capsys):
+    bad = tmp_path / "bad.db"
+    bad.write_bytes(b"s(a4).\xff\n")
+    code, out, err = run(capsys, "causes", "--instance", str(bad), "--query", files["chain.q"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command, extra", [("contingency", ["--tuple", "s(a3)"]), ("repairs", [])])
+def test_negative_limit_is_a_usage_error(files, capsys, command, extra):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", files["chain.db"], "--query", files["chain.q"],
+              *extra, "--limit", "-1"])
+    assert exc.value.code == 2
+    assert "--limit" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -200,3 +201,8 @@ def test_repairs_match_oracle(seed):
         produced = kept_sets(repairs(instance, constraints, semantics))
         expected = set(oracle.repairs(instance, constraints, semantics, cap=12))
         assert produced == expected
+    s_repairs = set(oracle.repairs(instance, constraints, "s", cap=12))
+    everything = sorted(instance.tuples)
+    for size in range(len(everything) + 1):
+        for subset in map(frozenset, combinations(everything, size)):
+            assert is_s_repair(instance, constraints, subset) == (subset in s_repairs)
