@@ -151,11 +151,14 @@ def cause_report(
     with_contingencies: bool = False,
     max_results: Optional[int] = None,
 ) -> CauseReport:
-    rho = responsibility(instance, q, t)
-    contingencies = None
-    if with_contingencies:
-        contingencies = tuple(minimal_contingencies(instance, q, t, max_results=max_results))
-    return CauseReport(t, rho > 0, rho, contingencies)
+    """With contingencies, they are enumerated once and responsibility is
+    1/(1 + the least contingency size), or 0 when there are none."""
+    if not with_contingencies:
+        rho = responsibility(instance, q, t)
+        return CauseReport(t, rho > 0, rho)
+    sets = minimal_contingencies(instance, q, t, max_results=max_results)
+    rho = Fraction(1, 1 + min(map(len, sets))) if sets else Fraction(0)
+    return CauseReport(t, rho > 0, rho, tuple(sets))
 
 
 def encode_graph(

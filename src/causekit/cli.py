@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -40,11 +41,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CausekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "json", False):
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if getattr(args, "json", False):
+            print(json.dumps(payload, separators=(",", ":")))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
@@ -111,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", required=True, metavar="FILE")
         p.add_argument("--query", required=True, metavar="FILE")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP, metavar="N")
+        p.add_argument("--cap", type=non_negative_int, default=oracle.DEFAULT_CAP, metavar="N")
         if tuple_flag:
             p.add_argument("--tuple", required=True, metavar="T")
         if semantics:
@@ -129,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def non_negative_int(text: str) -> int:
-    """A `--limit` value; a negative one is a usage error, not a budget."""
+    """A `--limit` or `--cap` value; a negative one is a usage error, not a budget."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
@@ -145,14 +152,6 @@ def _read(path: str) -> str:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise CausekitError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
-
-
-def _load_instance(args) -> Instance:
-    return parse_instance(_read(args.instance))
-
-
-def _load_program(args) -> UCQ | list[DenialConstraint]:
-    return parse_program(_read(args.query))
 
 
 def _as_ucq(program) -> UCQ:
@@ -184,11 +183,18 @@ def _as_single_bcq(program) -> Disjunct:
     return dc_to_bcq(_as_single_dc(program))
 
 
+def _load_query(args, view=_as_ucq) -> tuple[Instance, object]:
+    """The instance, and the query file read through `view` (a UCQ by default)."""
+    return parse_instance(_read(args.instance)), view(parse_program(_read(args.query)))
+
+
 def _load_tuple(args) -> GroundTuple:
     return parse_fact(args.tuple)
 
 
 # --- rendering ---------------------------------------------------------------
+# One renderer per answer shape, shared by a production handler and its oracle
+# twin: (text lines, JSON payload), the lines joined from the payload's strings.
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -199,68 +205,73 @@ def _tuple_list(tuples) -> list[str]:
     return [str(t) for t in canonical_sort(tuples)]
 
 
-def _set_text(tuples) -> str:
-    return "{" + ", ".join(_tuple_list(tuples)) + "}"
+def _braces(names: list[str]) -> str:
+    return "{" + ", ".join(names) + "}"
+
+
+def _render_causes(causes):
+    names = _tuple_list(causes)
+    return names, {"causes": names}
+
+
+def _render_responsibility(t, rho):
+    return [str(rho)], {"tuple": str(t), "responsibility": _fraction_str(rho)}
+
+
+def _render_contingencies(t, sets):
+    lists = [_tuple_list(s) for s in sets]
+    return [_braces(names) for names in lists], {"tuple": str(t), "contingencies": lists}
+
+
+def _render_repairs(instance, semantics, removals):
+    """Repairs given by their removed sets, in the given order. Kept and
+    removed lists filter one canonically ordered rendering of the instance."""
+    named = [(t, str(t)) for t in canonical_sort(instance.tuples)]
+    lines, repairs = [], []
+    for removed in removals:
+        kept_names = [name for t, name in named if t not in removed]
+        removed_names = [name for t, name in named if t in removed]
+        lines.append(f"removed: {_braces(removed_names)} kept: {_braces(kept_names)}")
+        repairs.append({"kept": kept_names, "removed": removed_names})
+    return lines, {"semantics": semantics, "repairs": repairs}
 
 
 # --- handlers ----------------------------------------------------------------
 
 
 def _cmd_causes(args):
-    instance = _load_instance(args)
-    q = _as_ucq(_load_program(args))
-    found = _tuple_list(causal.actual_causes(instance, q))
-    return found, {"causes": found}
+    return _render_causes(causal.actual_causes(*_load_query(args)))
 
 
 def _cmd_responsibility(args):
-    instance = _load_instance(args)
-    q = _as_ucq(_load_program(args))
+    instance, q = _load_query(args)
     t = _load_tuple(args)
-    rho = causal.responsibility(instance, q, t)
-    return [str(rho)], {"tuple": str(t), "responsibility": _fraction_str(rho)}
+    return _render_responsibility(t, causal.responsibility(instance, q, t))
 
 
 def _cmd_contingency(args):
-    instance = _load_instance(args)
-    q = _as_ucq(_load_program(args))
+    instance, q = _load_query(args)
     t = _load_tuple(args)
     sets = causal.minimal_contingencies(instance, q, t, max_results=args.limit)
-    return [_set_text(s) for s in sets], {
-        "tuple": str(t),
-        "contingencies": [_tuple_list(s) for s in sets],
-    }
+    return _render_contingencies(t, sets)
 
 
 def _cmd_mrc(args):
-    instance = _load_instance(args)
-    q = _as_ucq(_load_program(args))
+    instance, q = _load_query(args)
     top = causal.most_responsible(instance, q)
-    rho = Fraction(0)
-    if top:
-        rho = causal.responsibility(instance, q, next(iter(top)))
-    return _tuple_list(top), {
-        "most_responsible": _tuple_list(top),
-        "responsibility": _fraction_str(rho),
-    }
+    rho = causal.responsibility(instance, q, next(iter(top))) if top else Fraction(0)
+    names = _tuple_list(top)
+    return names, {"most_responsible": names, "responsibility": _fraction_str(rho)}
 
 
 def _cmd_repairs(args):
-    instance = _load_instance(args)
-    dcs = _as_dcs(_load_program(args))
+    instance, dcs = _load_query(args, _as_dcs)
     found = repair.repairs(instance, dcs, args.semantics, max_results=args.limit)
-    lines = [f"removed: {_set_text(r.removed)} kept: {_set_text(r.kept)}" for r in found]
-    return lines, {
-        "semantics": args.semantics,
-        "repairs": [
-            {"kept": _tuple_list(r.kept), "removed": _tuple_list(r.removed)} for r in found
-        ],
-    }
+    return _render_repairs(instance, args.semantics, [r.removed for r in found])
 
 
 def _cmd_repair_check(args):
-    instance = _load_instance(args)
-    dcs = _as_dcs(_load_program(args))
+    instance, dcs = _load_query(args, _as_dcs)
     candidate = parse_instance(_read(args.candidate)).tuples
     verdict = repair.is_s_repair(instance, dcs, candidate)
     return [str(verdict).lower()], {
@@ -270,8 +281,7 @@ def _cmd_repair_check(args):
 
 
 def _cmd_repair_size(args):
-    instance = _load_instance(args)
-    dc = _as_single_dc(_load_program(args))
+    instance, dc = _load_query(args, _as_single_dc)
     t = _load_tuple(args)
     verdict = repair.repair_size_at_least(instance, dc, t, args.minimum)
     return [str(verdict).lower()], {
@@ -282,8 +292,7 @@ def _cmd_repair_size(args):
 
 
 def _cmd_cqa(args):
-    instance = _load_instance(args)
-    dcs = _as_dcs(_load_program(args))
+    instance, dcs = _load_query(args, _as_dcs)
     atoms = canonical_sort(parse_instance(_read(args.atoms)).tuples)
     if not atoms:
         raise CausekitError("the atoms file contains no facts")
@@ -298,23 +307,19 @@ def _cmd_cqa(args):
 
 
 def _cmd_diagnose(args):
-    instance = _load_instance(args)
-    q = _as_single_bcq(_load_program(args))
+    instance, q = _load_query(args, _as_single_bcq)
     problem = diagnosis.build(instance, q)
     t = parse_fact(args.tuple) if args.tuple else None
     found = diagnosis.diagnoses(problem, t, args.minimality)
-    payload = {
-        "minimality": args.minimality,
-        "diagnoses": [_tuple_list(d.delta) for d in found],
-    }
+    deltas = [_tuple_list(d.delta) for d in found]
+    payload = {"minimality": args.minimality, "diagnoses": deltas}
     if t is not None:
         payload = {"tuple": str(t), **payload}
-    return [_set_text(d.delta) for d in found], payload
+    return [_braces(names) for names in deltas], payload
 
 
 def _cmd_emit_theory(args):
-    instance = _load_instance(args)
-    q = _as_single_bcq(_load_program(args))
+    instance, q = _load_query(args, _as_single_bcq)
     problem = diagnosis.build(instance, q)
     return problem.sd_text.splitlines(), {"theory": problem.sd_text}
 
@@ -352,52 +357,30 @@ def _parse_graph(text: str) -> tuple[list[str], list[tuple[str, str]]]:
 
 
 def _cmd_oracle_causes(args):
-    instance = _load_instance(args)
-    q = _as_ucq(_load_program(args))
-    found = _tuple_list(oracle.causes(instance, q, cap=args.cap))
-    return found, {"causes": found}
+    instance, q = _load_query(args)
+    return _render_causes(oracle.causes(instance, q, cap=args.cap))
 
 
 def _cmd_oracle_responsibility(args):
-    instance = _load_instance(args)
-    q = _as_ucq(_load_program(args))
+    instance, q = _load_query(args)
     t = _load_tuple(args)
-    rho = oracle.responsibility(instance, q, t, cap=args.cap)
-    return [str(rho)], {"tuple": str(t), "responsibility": _fraction_str(rho)}
+    return _render_responsibility(t, oracle.responsibility(instance, q, t, cap=args.cap))
 
 
 def _cmd_oracle_contingencies(args):
-    instance = _load_instance(args)
-    q = _as_ucq(_load_program(args))
+    instance, q = _load_query(args)
     t = _load_tuple(args)
-    sets = oracle.contingencies(instance, q, t, cap=args.cap)
-    return [_set_text(s) for s in sets], {
-        "tuple": str(t),
-        "contingencies": [_tuple_list(s) for s in sets],
-    }
+    return _render_contingencies(t, oracle.contingencies(instance, q, t, cap=args.cap))
 
 
 def _cmd_oracle_repairs(args):
-    instance = _load_instance(args)
-    dcs = _as_dcs(_load_program(args))
+    instance, dcs = _load_query(args, _as_dcs)
     kept_sets = oracle.repairs(instance, dcs, args.semantics, cap=args.cap)
-    everything = instance.tuples
-    lines = [
-        f"removed: {_set_text(everything - kept)} kept: {_set_text(kept)}"
-        for kept in kept_sets
-    ]
-    return lines, {
-        "semantics": args.semantics,
-        "repairs": [
-            {"kept": _tuple_list(kept), "removed": _tuple_list(everything - kept)}
-            for kept in kept_sets
-        ],
-    }
+    return _render_repairs(instance, args.semantics, [instance.tuples - kept for kept in kept_sets])
 
 
 def _cmd_oracle_min_hs(args):
-    instance = _load_instance(args)
-    q = _as_ucq(_load_program(args))
+    instance, q = _load_query(args)
     t = _load_tuple(args)
     framework = causal.hitting_framework(instance, q)
     if framework is None:

@@ -11,6 +11,7 @@ theory is an inspection artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -25,11 +26,15 @@ from .support import SupportFamily, endogenous_support
 
 @dataclass(frozen=True)
 class DiagnosisProblem:
-    """An instance, the observed query, and the rendered system description."""
+    """An instance and the observed query; the system description is
+    rendered when `sd_text` is first read."""
 
     instance: Instance
     observation: Disjunct
-    sd_text: str
+
+    @cached_property
+    def sd_text(self) -> str:
+        return render_theory(self.instance, self.observation)
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,7 @@ class Diagnosis:
 
 def build(instance: Instance, q: Disjunct) -> DiagnosisProblem:
     """Assemble the diagnosis problem for a single boolean conjunctive query."""
-    return DiagnosisProblem(instance, q, render_theory(instance, q))
+    return DiagnosisProblem(instance, q)
 
 
 def conflict_sets(problem: DiagnosisProblem) -> SupportFamily:

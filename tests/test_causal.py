@@ -177,6 +177,7 @@ def test_cause_report_invariants(ex1):
     instance, q = ex1
     for t in instance.endo:
         report = cause_report(instance, q, t, with_contingencies=True)
+        assert report.responsibility == responsibility(instance, q, t)
         assert report.is_cause == (report.responsibility > 0)
         assert report.is_cause == bool(report.contingencies)
         for gamma in report.contingencies:

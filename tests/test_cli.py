@@ -1,6 +1,10 @@
 """End-to-end command-line behaviour: outputs, JSON stability, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,13 +223,21 @@ def test_non_utf8_input_exits_one(files, tmp_path, capsys):
     assert err.startswith("error:") and "UTF-8" in err
 
 
-@pytest.mark.parametrize("command, extra", [("contingency", ["--tuple", "s(a3)"]), ("repairs", [])])
-def test_negative_limit_is_a_usage_error(files, capsys, command, extra):
+@pytest.mark.parametrize(
+    "command, extra, flag",
+    [
+        (["contingency"], ["--tuple", "s(a3)"], "--limit"),
+        (["repairs"], [], "--limit"),
+        (["oracle", "causes"], [], "--cap"),
+    ],
+    ids=["contingency-extra0", "repairs-extra1", "oracle-causes-cap"],
+)
+def test_negative_limit_is_a_usage_error(files, capsys, command, extra, flag):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--instance", files["chain.db"], "--query", files["chain.q"],
-              *extra, "--limit", "-1"])
+        main([*command, "--instance", files["chain.db"], "--query", files["chain.q"],
+              *extra, flag, "-1"])
     assert exc.value.code == 2
-    assert "--limit" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 def test_usage_error_exits_two(files, capsys):
@@ -235,3 +247,89 @@ def test_usage_error_exits_two(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["responsibility", "--instance", files["chain.db"]])
     assert exc.value.code == 2
+
+
+M3_DB = "a(1). b(1). a(2). b(2). a(3). b(3)."
+M3_Q = "q :- a(X), b(X)."
+
+TEXT_CASES = {
+    "repairs-s": (
+        ["repairs", "--instance", "pqr.db", "--query", "pqr.dc"],
+        "removed: {p(a)} kept: {p(e), q(a,b), r(a,c)}\n"
+        "removed: {q(a,b), r(a,c)} kept: {p(a), p(e)}\n",
+    ),
+    "repairs-s-chain": (
+        ["repairs", "--instance", "chain.db", "--query", "chain.q"],
+        "removed: {r(a3,a3), r(a4,a3)} kept: {r(a2,a1), s(a2), s(a3), s(a4)}\n"
+        "removed: {r(a3,a3), s(a4)} kept: {r(a2,a1), r(a4,a3), s(a2), s(a3)}\n"
+        "removed: {s(a3)} kept: {r(a2,a1), r(a3,a3), r(a4,a3), s(a2), s(a4)}\n",
+    ),
+    "repairs-c": (
+        ["repairs", "--semantics", "c", "--instance", "pqr.db", "--query", "pqr.dc"],
+        "removed: {p(a)} kept: {p(e), q(a,b), r(a,c)}\n",
+    ),
+    "contingency": (
+        ["contingency", "--instance", "m3.db", "--query", "m3.q", "--tuple", "a(1)"],
+        "{a(2), a(3)}\n{a(2), b(3)}\n{a(3), b(2)}\n{b(2), b(3)}\n",
+    ),
+    "contingency-empty-set": (
+        ["contingency", "--instance", "chain.db", "--query", "chain.q", "--tuple", "s(a3)"],
+        "{}\n",
+    ),
+    "mrc": (
+        ["mrc", "--instance", "m3.db", "--query", "m3.q"],
+        "a(1)\na(2)\na(3)\nb(1)\nb(2)\nb(3)\n",
+    ),
+    "diagnose": (
+        ["diagnose", "--instance", "chain.db", "--query", "chain.q"],
+        "{r(a3,a3), r(a4,a3)}\n{r(a3,a3), s(a4)}\n{s(a3)}\n",
+    ),
+    "diagnose-tuple-c": (
+        ["diagnose", "--instance", "chain.db", "--query", "chain.q", "--tuple", "s(a4)",
+         "--minimality", "c"],
+        "{r(a3,a3), s(a4)}\n",
+    ),
+    "oracle-repairs": (
+        ["oracle", "repairs", "--instance", "pqr.db", "--query", "pqr.dc"],
+        "removed: {q(a,b), r(a,c)} kept: {p(a), p(e)}\n"
+        "removed: {p(a)} kept: {p(e), q(a,b), r(a,c)}\n",
+    ),
+    "oracle-repairs-c": (
+        ["oracle", "repairs", "--semantics", "c", "--instance", "chain.db", "--query", "chain.q"],
+        "removed: {s(a3)} kept: {r(a2,a1), r(a3,a3), r(a4,a3), s(a2), s(a4)}\n",
+    ),
+    "oracle-contingencies": (
+        ["oracle", "contingencies", "--instance", "m3.db", "--query", "m3.q", "--tuple", "a(1)"],
+        "{a(2), a(3)}\n{a(2), b(3)}\n{a(3), b(2)}\n{b(2), b(3)}\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_CASES))
+def test_text_output_is_pinned(files, tmp_path, capsys, case):
+    (tmp_path / "m3.db").write_text(M3_DB)
+    (tmp_path / "m3.q").write_text(M3_Q)
+    files = {**files, "m3.db": str(tmp_path / "m3.db"), "m3.q": str(tmp_path / "m3.q")}
+    argv, expected = TEXT_CASES[case]
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_closed_pipe_exits_without_traceback(tmp_path):
+    db = tmp_path / "stars.db"
+    db.write_text(" ".join(f"p(s{i}). q(s{i},x). q(s{i},y)." for i in range(10)))
+    dc = tmp_path / "stars.dc"
+    dc.write_text(":- p(X), q(X,Y).")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "causekit.cli", "repairs",
+            "--instance", str(db), "--query", str(dc)]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+    # 1 024 repairs, about 270 kB: more than the pipe holds once the reader is gone
+    assert proc.stdout.readline().startswith(b"removed: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""  # no traceback, no "Exception ignored" note from the flush at exit
