@@ -43,12 +43,7 @@ def actual_causes(instance: Instance, q: UCQ) -> frozenset[GroundTuple]:
     Empty when the query is false or holds without endogenous help.
     """
     family = endogenous_support(q, instance)
-    if family.vacuous:
-        return frozenset()
-    causes: set[GroundTuple] = set()
-    for s in family.sets:
-        causes |= s
-    return frozenset(causes)
+    return frozenset() if family.vacuous else frozenset().union(*family.sets)
 
 
 def minimal_contingencies(
@@ -90,14 +85,18 @@ def most_responsible(instance: Instance, q: UCQ) -> frozenset[GroundTuple]:
     the overall minimum size passes through it, so one bounded decision per
     candidate suffices.
     """
+    return _most_responsible(instance, q)[0]
+
+
+def _most_responsible(instance: Instance, q: UCQ) -> tuple[frozenset[GroundTuple], int]:
+    """The most responsible causes and the minimum hitting-set size k, so
+    each of them has responsibility 1/k; k is 0 when there are no causes."""
     framework = hitting_framework(instance, q)
     if framework is None or not framework.edges:
-        return frozenset()
+        return frozenset(), 0
     best = min_hs_size(framework)
     candidates = {t for e in framework.edges for t in e}
-    return frozenset(
-        t for t in candidates if exists_hs_within(framework, best, forced=t)
-    )
+    return frozenset(t for t in candidates if exists_hs_within(framework, best, forced=t)), best
 
 
 def decide_rpd(instance: Instance, q: UCQ, t: GroundTuple, v: Fraction) -> bool:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import causal, cqa, diagnosis, oracle, repair
 from .errors import CausekitError, ResourceLimitError
-from .model import GroundTuple, Instance, canonical_sort, parse_fact, parse_instance, serialize_instance
+from .model import Instance, canonical_sort, parse_fact, parse_instance, serialize_instance
 from .query import (
     UCQ,
     DenialConstraint,
@@ -188,10 +188,6 @@ def _load_query(args, view=_as_ucq) -> tuple[Instance, object]:
     return parse_instance(_read(args.instance)), view(parse_program(_read(args.query)))
 
 
-def _load_tuple(args) -> GroundTuple:
-    return parse_fact(args.tuple)
-
-
 # --- rendering ---------------------------------------------------------------
 # One renderer per answer shape, shared by a production handler and its oracle
 # twin: (text lines, JSON payload), the lines joined from the payload's strings.
@@ -245,21 +241,21 @@ def _cmd_causes(args):
 
 def _cmd_responsibility(args):
     instance, q = _load_query(args)
-    t = _load_tuple(args)
+    t = parse_fact(args.tuple)
     return _render_responsibility(t, causal.responsibility(instance, q, t))
 
 
 def _cmd_contingency(args):
     instance, q = _load_query(args)
-    t = _load_tuple(args)
+    t = parse_fact(args.tuple)
     sets = causal.minimal_contingencies(instance, q, t, max_results=args.limit)
     return _render_contingencies(t, sets)
 
 
 def _cmd_mrc(args):
     instance, q = _load_query(args)
-    top = causal.most_responsible(instance, q)
-    rho = causal.responsibility(instance, q, next(iter(top))) if top else Fraction(0)
+    top, best = causal._most_responsible(instance, q)
+    rho = Fraction(1, best) if best else Fraction(0)
     names = _tuple_list(top)
     return names, {"most_responsible": names, "responsibility": _fraction_str(rho)}
 
@@ -274,21 +270,14 @@ def _cmd_repair_check(args):
     instance, dcs = _load_query(args, _as_dcs)
     candidate = parse_instance(_read(args.candidate)).tuples
     verdict = repair.is_s_repair(instance, dcs, candidate)
-    return [str(verdict).lower()], {
-        "candidate": _tuple_list(candidate),
-        "is_s_repair": verdict,
-    }
+    return [str(verdict).lower()], {"candidate": _tuple_list(candidate), "is_s_repair": verdict}
 
 
 def _cmd_repair_size(args):
     instance, dc = _load_query(args, _as_single_dc)
-    t = _load_tuple(args)
+    t = parse_fact(args.tuple)
     verdict = repair.repair_size_at_least(instance, dc, t, args.minimum)
-    return [str(verdict).lower()], {
-        "tuple": str(t),
-        "min": args.minimum,
-        "satisfied": verdict,
-    }
+    return [str(verdict).lower()], {"tuple": str(t), "min": args.minimum, "satisfied": verdict}
 
 
 def _cmd_cqa(args):
@@ -330,11 +319,7 @@ def _cmd_encode_graph(args):
     instance_text = serialize_instance(instance)
     query_text = format_program(UCQ((disjunct,)))
     lines = instance_text.splitlines() + [""] + query_text.splitlines() + ["", str(t)]
-    return lines, {
-        "instance": instance_text,
-        "query": query_text,
-        "tuple": str(t),
-    }
+    return lines, {"instance": instance_text, "query": query_text, "tuple": str(t)}
 
 
 def _parse_graph(text: str) -> tuple[list[str], list[tuple[str, str]]]:
@@ -363,13 +348,13 @@ def _cmd_oracle_causes(args):
 
 def _cmd_oracle_responsibility(args):
     instance, q = _load_query(args)
-    t = _load_tuple(args)
+    t = parse_fact(args.tuple)
     return _render_responsibility(t, oracle.responsibility(instance, q, t, cap=args.cap))
 
 
 def _cmd_oracle_contingencies(args):
     instance, q = _load_query(args)
-    t = _load_tuple(args)
+    t = parse_fact(args.tuple)
     return _render_contingencies(t, oracle.contingencies(instance, q, t, cap=args.cap))
 
 
@@ -381,7 +366,7 @@ def _cmd_oracle_repairs(args):
 
 def _cmd_oracle_min_hs(args):
     instance, q = _load_query(args)
-    t = _load_tuple(args)
+    t = parse_fact(args.tuple)
     framework = causal.hitting_framework(instance, q)
     if framework is None:
         raise CausekitError("the query holds on exogenous tuples alone; no hitting sets")

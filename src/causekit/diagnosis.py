@@ -15,8 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
-from .causal import hitting_framework
-from .errors import CausekitError
+from .causal import _require_endogenous, hitting_framework
 from .hitset import minimal_hitting_sets
 from .model import GroundTuple, Instance, canonical_sort, format_constant
 from .query import UCQ, Constant, DenialConstraint, Disjunct
@@ -64,8 +63,8 @@ def diagnoses(
     "c" keeps only the cardinality-minimal ones among those."""
     minimality = check_semantics(minimality)
     instance = problem.instance
-    if t is not None and t not in instance.endo:
-        raise CausekitError(f"tuple {t} is not an endogenous tuple of the instance")
+    if t is not None:
+        _require_endogenous(instance, t)
     hypergraph = hitting_framework(instance, UCQ((problem.observation,)))
     if hypergraph is None:
         return []
@@ -104,13 +103,10 @@ def render_theory(instance: Instance, q: Disjunct) -> str:
         instance.constants()
         | {t.symbol for a in q.atoms for t in a.terms if isinstance(t, Constant)}
     )
-    by_relation = {
-        rel: [t for t in canonical_sort(instance.tuples) if t.relation == rel]
-        for rel in relations
-    }
+    groups = instance._relations
+    by_relation = {rel: canonical_sort(groups.get((rel, arities[rel]), ())) for rel in relations}
     endo_by_relation = {
-        rel: [t for t in canonical_sort(instance.endo) if t.relation == rel]
-        for rel in relations
+        rel: [t for t in ts if t in instance.endo] for rel, ts in by_relation.items()
     }
 
     lines = ["% (a) predicate completion and unique names"]

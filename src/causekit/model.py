@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
 
 from ._scan import TokenStream, is_constant_word, parse_atom, tokenize, unquote
@@ -68,19 +70,27 @@ class Instance:
             facts = ", ".join(str(t) for t in canonical_sort(overlap))
             raise CausekitError(f"fact in both partitions: {facts}")
         arities: dict[str, int] = {}
-        for t in self.endo | self.exo:
-            seen = arities.setdefault(t.relation, len(t.args))
-            if seen != len(t.args):
+        for relation, arity in self._relations:
+            if arities.setdefault(relation, arity) != arity:
                 raise CausekitError(
-                    f"arity conflict for relation '{t.relation}': {seen} vs {len(t.args)}"
+                    f"arity conflict for relation '{relation}': {arities[relation]} vs {arity}"
                 )
 
     @property
     def tuples(self) -> frozenset[GroundTuple]:
         return self.endo | self.exo
 
+    @cached_property
+    def _relations(self) -> dict[tuple[str, int], list[GroundTuple]]:
+        """The tuples by (relation, arity), unsorted, as the join reads them.
+        Built by the arity check at construction; outside equality."""
+        groups: dict[tuple[str, int], list[GroundTuple]] = {}
+        for t in chain(self.endo, self.exo):
+            groups.setdefault((t.relation, len(t.args)), []).append(t)
+        return groups
+
     def arities(self) -> dict[str, int]:
-        return {t.relation: len(t.args) for t in self.tuples}
+        return {relation: arity for relation, arity in self._relations}
 
     def constants(self) -> set[str]:
         return {a for t in self.tuples for a in t.args}

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .causal import hitting_framework
+from .causal import _require_endogenous, hitting_framework
 from .errors import CausekitError
 from .hitset import Hypergraph, min_hs_size_containing, minimal_hitting_sets
 from .model import GroundTuple, Instance
@@ -83,8 +83,7 @@ def difference_sets(
     violation view (for "s"), resp. a most responsible one (for "c").
     """
     semantics = check_semantics(semantics)
-    if t not in instance.endo:
-        raise CausekitError(f"tuple {t} is not an endogenous tuple of the instance")
+    _require_endogenous(instance, t)
     removals = minimal_hitting_sets(_violations(instance, [constraint]))
     if semantics == "c":
         removals = least_sized(removals)

@@ -4,17 +4,26 @@ A support set is a minimal subset of the instance that already satisfies
 some disjunct of the query. These families are the combinatorial substrate
 for everything else in the package: their endogenous projections are the
 hyperedges every cause computation hits against.
+
+Homomorphisms come from a join planned per disjunct and call: atoms are
+taken greedily by most bound positions (constants or variables bound
+earlier), then smallest extension, then atom index, and variables are
+integer slots. Each `Instance` partitions its tuples by (relation, arity)
+once, as unsorted lists. A step filters its atom's extension (semijoin)
+on each bound position, against the constant or the values the variable
+took in the step that bound it, hashes the survivors on their joined
+positions, and a depth-first run probes those tables. No table outlives
+the call: whole per-instance probe tables would raise peak memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .model import GroundTuple, Instance
 from .query import UCQ, Constant, Disjunct, QueryAtom, Variable
-
-_Index = dict[str, list[GroundTuple]]
 
 
 @dataclass(frozen=True)
@@ -52,72 +61,74 @@ def minimal_sets(sets) -> list[frozenset]:
     return kept
 
 
-def _index(tuples: frozenset[GroundTuple]) -> _Index:
-    by_rel: _Index = {}
-    for t in sorted(tuples):
-        by_rel.setdefault(t.relation, []).append(t)
-    return by_rel
+def _images(disjunct: Disjunct, instance: Instance, stop_early: bool) -> set[frozenset]:
+    """The homomorphic images of one disjunct; with stop_early, at most one."""
+    extensions = instance._relations
+    slot_of: dict[Variable, int] = {}
+    values: list[set[str]] = []  # per slot: the values it took in the step that bound it
+    run: list[tuple] = []  # per step: facts or hash table, probe on the slots, slots bound
+
+    def rank(atom: QueryAtom) -> tuple:
+        bound = sum(isinstance(t, Constant) or t in slot_of for t in atom.terms)
+        return -bound, len(extensions.get((atom.relation, len(atom.terms)), ()))
+
+    pending = list(disjunct.atoms)
+    while pending:
+        atom = min(pending, key=rank)  # ties go to the earliest atom
+        pending.remove(atom)
+        facts = extensions.get((atom.relation, len(atom.terms)), [])
+        joins: list[tuple[int, int]] = []
+        first: dict[Variable, int] = {}
+        for pos, term in enumerate(atom.terms):
+            if isinstance(term, Constant):
+                facts = [f for f in facts if f.args[pos] == term.symbol]
+            elif term in slot_of:
+                allowed = values[slot_of[term]]
+                facts = [f for f in facts if f.args[pos] in allowed]
+                joins.append((pos, slot_of[term]))
+            elif term in first:
+                facts = [f for f in facts if f.args[pos] == f.args[first[term]]]
+            else:
+                first[term] = pos
+        if not facts:
+            return set()
+        binds = []
+        for term, pos in first.items():
+            slot_of[term] = len(values)
+            values.append({f.args[pos] for f in facts})
+            binds.append((slot_of[term], pos))
+        if not joins:
+            run.append((facts, None, binds))
+            continue
+        key = itemgetter(*(pos for pos, _ in joins))
+        table: dict = {}
+        for f in facts:
+            table.setdefault(key(f.args), []).append(f)
+        run.append((table, itemgetter(*(slot for _, slot in joins)), binds))
+    images: set[frozenset[GroundTuple]] = set()
+    _extend(run, 0, [None] * len(values), [], images, stop_early)
+    return images
 
 
-def _ordered_atoms(disjunct: Disjunct, index: _Index) -> list[QueryAtom]:
-    # Ascending extension size is a join-ordering heuristic only; any order
-    # yields the same homomorphisms.
-    order = sorted(
-        range(len(disjunct.atoms)),
-        key=lambda i: (len(index.get(disjunct.atoms[i].relation, ())), i),
-    )
-    return [disjunct.atoms[i] for i in order]
-
-
-def _bind(atom: QueryAtom, fact: GroundTuple, binding: dict[Variable, str]) -> dict | None:
-    if fact.relation != atom.relation or len(fact.args) != len(atom.terms):
-        return None
-    extended = binding
-    for term, value in zip(atom.terms, fact.args):
-        if isinstance(term, Constant):
-            if term.symbol != value:
-                return None
-        else:
-            bound = extended.get(term)
-            if bound is None:
-                if extended is binding:
-                    extended = dict(binding)
-                extended[term] = value
-            elif bound != value:
-                return None
-    return extended
-
-
-def _search(atoms, index, pos, binding, used, images, stop_early) -> bool:
-    if pos == len(atoms):
+def _extend(run, depth, slots, used, images, stop_early) -> bool:
+    if depth == len(run):
         images.add(frozenset(used))
         return True
-    for fact in index.get(atoms[pos].relation, ()):
-        extended = _bind(atoms[pos], fact, binding)
-        if extended is None:
-            continue
+    table, probe, binds = run[depth]
+    for fact in table if probe is None else table.get(probe(slots), ()):
+        for slot, pos in binds:
+            slots[slot] = fact.args[pos]
         used.append(fact)
-        found = _search(atoms, index, pos + 1, extended, used, images, stop_early)
+        found = _extend(run, depth + 1, slots, used, images, stop_early)
         used.pop()
         if found and stop_early:
             return True
     return False
 
 
-def _disjunct_images(disjunct: Disjunct, index: _Index) -> set[frozenset[GroundTuple]]:
-    images: set[frozenset[GroundTuple]] = set()
-    _search(_ordered_atoms(disjunct, index), index, 0, {}, [], images, stop_early=False)
-    return images
-
-
-def _disjunct_holds(disjunct: Disjunct, index: _Index) -> bool:
-    return _search(_ordered_atoms(disjunct, index), index, 0, {}, [], set(), stop_early=True)
-
-
 def evaluate(q: UCQ, instance: Instance) -> bool:
     """True iff some disjunct has a homomorphism into the full instance."""
-    index = _index(instance.tuples)
-    return any(_disjunct_holds(d, index) for d in q.disjuncts)
+    return any(_images(d, instance, stop_early=True) for d in q.disjuncts)
 
 
 def support_family(q: UCQ, instance: Instance) -> SupportFamily:
@@ -126,10 +137,7 @@ def support_family(q: UCQ, instance: Instance) -> SupportFamily:
     Enumerates every homomorphism per disjunct, takes the image tuple-sets,
     and discards any image that strictly contains another.
     """
-    index = _index(instance.tuples)
-    images: set[frozenset[GroundTuple]] = set()
-    for d in q.disjuncts:
-        images |= _disjunct_images(d, index)
+    images = set().union(*(_images(d, instance, stop_early=False) for d in q.disjuncts))
     sets = sorted(minimal_sets(images), key=set_key)
     return SupportFamily(base=instance.tuples, sets=tuple(sets))
 

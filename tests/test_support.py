@@ -5,7 +5,13 @@ import random
 import pytest
 
 from causekit import (
+    UCQ,
+    Constant,
+    Disjunct,
+    GroundTuple,
     Instance,
+    QueryAtom,
+    Variable,
     endogenous_support,
     evaluate,
     parse_instance,
@@ -109,3 +115,139 @@ def test_monotone_under_growth(seed):
     )
     if evaluate(q, instance):
         assert evaluate(q, grown)
+
+
+# --- join edge cases ---------------------------------------------------------
+
+
+def _family_and_truth(query, db):
+    """The support family as sorted fact names, and the query's truth value."""
+    q, instance = ucq(query), inst(db)
+    fam = support_family(q, instance)
+    return [sorted(str(t) for t in s) for s in fam.sets], evaluate(q, instance)
+
+
+@pytest.mark.parametrize(
+    "query, db, expected",
+    [
+        # an atom whose arity differs from the instance relation's matches nothing
+        ("q :- r(X).", "r(a,b).", []),
+        ("q :- r(X,Y,Z).", "r(a,b).", []),
+        ("q :- s(X), r(X).", "s(a). r(a,a).", []),
+        ("q :- r(X). q :- s(X).", "r(a,b). s(c).", [["s(c)"]]),
+        # a relation absent from the instance
+        ("q :- t(X).", "r(a,b).", []),
+        ("q :- r(X,Y), t(Y).", "r(a,b).", []),
+        ("q :- r(X,Y), t(Y). q :- r(X,b).", "r(a,b).", [["r(a,b)"]]),
+        # atoms made only of constants
+        ("q :- r(a,b).", "r(a,b). r(a,c).", [["r(a,b)"]]),
+        ("q :- r(b,a).", "r(a,b). r(a,c).", []),
+        ("q :- r(a,b), s(c).", "r(a,b). s(c). s(d).", [["r(a,b)", "s(c)"]]),
+        ("q :- r(a,b), s(X).", "r(a,b).", []),
+        # a variable repeated inside one atom
+        ("q :- r(X,X).", "r(a,a). r(a,b).", [["r(a,a)"]]),
+        ("q :- r(X,X).", "r(a,b). r(b,a).", []),
+        ("q :- s(X), r(X,X).", "s(a). s(b). r(a,a). r(b,c).", [["r(a,a)", "s(a)"]]),
+        ("q :- r(X,Y), t(Y,Y,X).", "r(a,b). t(b,b,a). t(b,c,a).", [["r(a,b)", "t(b,b,a)"]]),
+        # a self-join mapping two atoms onto one fact
+        ("q :- r(X,Y), r(Y,X).", "r(a,a).", [["r(a,a)"]]),
+        ("q :- r(X,Y), r(Y,X).", "r(a,a). r(b,c). r(c,b).", [["r(a,a)"], ["r(b,c)", "r(c,b)"]]),
+        ("q :- s(X), s(Y), r(X,Y).", "s(a). r(a,a). r(a,b).", [["r(a,a)", "s(a)"]]),
+        # a constant in a join position
+        ("q :- s(X), r(X,b), s(b).", "s(a). s(b). s(c). r(a,b). r(a,c). r(c,b).",
+         [["r(a,b)", "s(a)", "s(b)"], ["r(c,b)", "s(b)", "s(c)"]]),
+        ("q :- r(a,Y), s(Y).", "r(a,b). r(a,c). r(d,b). s(b).", [["r(a,b)", "s(b)"]]),
+        ("q :- r(X,b), r(b,X).", "r(a,b). r(b,a). r(b,c).", [["r(a,b)", "r(b,a)"]]),
+        ("q :- s(b), r(X,Y).", "s(a). r(a,b).", []),
+    ],
+)
+def test_join_edge_cases(query, db, expected):
+    assert _family_and_truth(query, db) == (expected, bool(expected))
+
+
+def test_join_on_programmatic_arity_mismatch():
+    # Instances built in code may hold a relation under one arity while a
+    # query uses another; neither the family nor evaluation may fail.
+    instance = Instance(frozenset({GroundTuple("r", ("a",))}), frozenset())
+    x, y = Variable("X"), Variable("Y")
+    q = UCQ((Disjunct((QueryAtom("r", (x, y)),)), Disjunct((QueryAtom("r", (x, Constant("b"))),))))
+    assert support_family(q, instance).sets == ()
+    assert not evaluate(q, instance)
+
+
+# --- metamorphic properties beyond the oracle's cap ----------------------------
+
+SCALE_QUERIES = (
+    "q :- s(X), r(X,Y), s(Y).",
+    "q :- s(X), r(X,Y), s(Y).  q :- s(X), r(X,Y), r(Y,X).",
+    "q :- r(X,X), s(X).  q :- r(b0x0,Y), s(Y).  q :- r(X,Y), r(Y,Z), s(Z), t(X,Z).",
+)
+
+
+def _scale_facts(rng: random.Random, blocks: int = 60, bulk: int = 900) -> tuple[list, list]:
+    """Endogenous and exogenous facts, at least 1 000 in all: small blocks of
+    s, r and t facts over their own constants, and r tuples joining nothing.
+    Every s fact is endogenous, so no support of SCALE_QUERIES is exogenous."""
+    facts = set()
+    for b in range(blocks):
+        xs = [f"b{b}x{i}" for i in range(rng.randint(2, 4))]
+        facts |= {GroundTuple("s", (x,)) for x in rng.sample(xs, rng.randint(1, len(xs)))}
+        pairs = [(a, c) for a in xs for c in xs]
+        facts |= {GroundTuple("r", p) for p in rng.sample(pairs, rng.randint(1, 4))}
+        facts |= {GroundTuple("t", p) for p in rng.sample(pairs, rng.randint(0, 2))}
+    facts |= {GroundTuple("r", (f"u{k}", f"v{k}")) for k in range(bulk)}
+    ordered = sorted(facts)
+    rng.shuffle(ordered)
+    exo = {t for t in ordered if t.relation != "s" and rng.random() < 0.25}
+    return [t for t in ordered if t not in exo], [t for t in ordered if t in exo]
+
+
+def _family_text(fam) -> str:
+    return repr(([sorted(map(str, s)) for s in fam.sets], fam.vacuous))
+
+
+@pytest.mark.parametrize("query", SCALE_QUERIES)
+@pytest.mark.parametrize("seed", range(2))
+def test_dangling_tuples_leave_families_unchanged(seed, query):
+    rng = random.Random(3100 + seed)
+    endo, exo = _scale_facts(rng)
+    instance = Instance(frozenset(endo), frozenset(exo))
+    assert len(instance) >= 1000
+    q = ucq(query)
+    dangling = {GroundTuple("r", (f"fresh{k}", f"fresh{k + 1}")) for k in range(0, 400, 2)}
+    grown = Instance(instance.endo | dangling, instance.exo)
+    for family in (support_family, endogenous_support):
+        before, after = family(q, instance), family(q, grown)
+        assert before.sets, "the workload must have supports"
+        assert _family_text(after) == _family_text(before)
+
+
+@pytest.mark.parametrize("query", SCALE_QUERIES)
+@pytest.mark.parametrize("seed", range(2))
+def test_fact_order_does_not_change_families(seed, query):
+    rng = random.Random(3200 + seed)
+    endo, exo = _scale_facts(rng)
+    q = ucq(query)
+    first = Instance(frozenset(endo), frozenset(exo))
+    for _ in range(2):
+        rng.shuffle(endo)
+        rng.shuffle(exo)
+        again = Instance(frozenset(endo), frozenset(exo))
+        assert support_family(q, again) == support_family(q, first)
+        assert endogenous_support(q, again) == endogenous_support(q, first)
+
+
+@pytest.mark.parametrize("query", SCALE_QUERIES)
+@pytest.mark.parametrize("seed", range(2))
+def test_evaluate_agrees_with_family_at_scale(seed, query):
+    rng = random.Random(3300 + seed)
+    endo, exo = _scale_facts(rng)
+    q = ucq(query)
+    full = Instance(frozenset(endo), frozenset(exo))
+    no_s = Instance(
+        frozenset(t for t in endo if t.relation != "s"), frozenset(t for t in exo if t.relation != "s")
+    )
+    one_block = Instance(frozenset(t for t in endo if t.args[0].startswith("b7x")), frozenset())
+    for instance in (full, no_s, one_block):
+        assert evaluate(q, instance) == bool(support_family(q, instance).sets)
+    assert evaluate(q, full) and not evaluate(q, no_s)
