@@ -71,9 +71,7 @@ def responsibility(instance: Instance, q: UCQ, t: GroundTuple) -> Fraction:
     t; 0 when t is not a cause. Exact rational, never a float."""
     _require_endogenous(instance, t)
     framework = hitting_framework(instance, q)
-    if framework is None:
-        return Fraction(0)
-    k = min_hs_size_containing(framework, t)
+    k = None if framework is None else min_hs_size_containing(framework, t)
     return Fraction(0) if k is None else Fraction(1, k)
 
 
@@ -82,8 +80,7 @@ def most_responsible(instance: Instance, q: UCQ) -> frozenset[GroundTuple]:
     there are no causes.
 
     A cause is most responsible exactly when some minimal hitting set of
-    the overall minimum size passes through it, so one bounded decision per
-    candidate suffices.
+    the overall minimum size passes through it.
     """
     return _most_responsible(instance, q)[0]
 
@@ -96,16 +93,15 @@ def _most_responsible(instance: Instance, q: UCQ) -> tuple[frozenset[GroundTuple
         return frozenset(), 0
     best = min_hs_size(framework)
     candidates = {t for e in framework.edges for t in e}
-    return frozenset(t for t in candidates if exists_hs_within(framework, best, forced=t)), best
+    return frozenset(t for t in candidates if min_hs_size_containing(framework, t) == best), best
 
 
 def decide_rpd(instance: Instance, q: UCQ, t: GroundTuple, v: Fraction) -> bool:
     """Decide whether t's responsibility strictly exceeds v.
 
-    v must be 0 or 1/k. For v = 1/k the answer is found by depth-bounded
-    branching for a minimal hitting set through t of size at most k-1;
-    responsibility itself is never computed. Requires the query to be true
-    in the instance.
+    v must be 0 or 1/k. For v = 1/k the answer is one search, bounded at
+    k-1, for a minimal hitting set through t; responsibility itself is
+    never computed. Requires the query to be true in the instance.
     """
     _require_endogenous(instance, t)
     v = Fraction(v)
@@ -115,20 +111,14 @@ def decide_rpd(instance: Instance, q: UCQ, t: GroundTuple, v: Fraction) -> bool:
     if framework is not None and not framework.edges:
         raise CausekitError("the query is false in the instance; nothing to explain")
     is_cause = framework is not None and any(t in e for e in framework.edges)
-    if v == 0:
-        return is_cause
-    if not is_cause:
-        return False
-    return exists_hs_within(framework, v.denominator - 1, forced=t)
+    return is_cause and (v == 0 or exists_hs_within(framework, v.denominator - 1, forced=t))
 
 
 def decide_mrcd(instance: Instance, q: UCQ, t: GroundTuple) -> bool:
     """Decide whether t is a cause of maximal responsibility."""
     _require_endogenous(instance, t)
     framework = hitting_framework(instance, q)
-    if framework is None or not framework.edges:
-        return False
-    return exists_hs_within(framework, min_hs_size(framework), forced=t)
+    return framework is not None and min_hs_size_containing(framework, t) == min_hs_size(framework)
 
 
 @dataclass(frozen=True)

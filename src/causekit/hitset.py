@@ -1,19 +1,21 @@
-"""Exact solvers for bounded hitting-set / hypergraph vertex-cover problems.
+"""Exact minimal hitting sets of hypergraphs with small edges, by one search.
 
-Edges here are small (bounded by the query width), which keeps exhaustive
-enumeration of minimal hitting sets and depth-bounded branching practical.
-Vertices are opaque but must be totally ordered; ground tuples and strings
-both qualify. All results are deterministic: enumeration output is
-canonically sorted and branching follows a fixed tie-breaking order.
+The search is MMCS (Murakami & Uno, *Efficient algorithms for dualizing
+large-scale hypergraphs*, DAM 2014), run per connected component of the edges
+(a minimal hitting set is a union of one per component). It branches on the
+uncovered edge with the fewest candidates, prunes once a member has no private
+edge left (one the set hits only there), and stops at a size budget. Vertices
+must be hashable and totally ordered; output is canonically sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from itertools import product
+from typing import Hashable, Iterable, Iterator, Optional
 
 from .errors import CausekitError, ResourceLimitError
-from .support import minimal_sets, set_key
+from .support import set_key
 
 Vertex = Hashable
 
@@ -50,144 +52,144 @@ def minimal_hitting_sets(
 ) -> list[frozenset]:
     """Exactly all subset-minimal hitting sets, canonically sorted.
 
-    With no edges the empty set is the unique answer. Exceeding a declared
-    budget raises ResourceLimitError rather than truncating.
-
-    Incremental construction: fold edges in one at a time, keeping the
-    antichain of minimal hitting sets of the edges seen so far. Sets that
-    already hit the new edge survive unchanged; each miss is extended by
-    every vertex of the new edge and the result re-minimized.
+    With no edges the empty set is the unique answer. A budget counts final
+    sets only; exceeding it raises ResourceLimitError rather than truncating.
     """
     if max_vertices is not None and len(h.vertices) > max_vertices:
         raise ResourceLimitError(
             f"hitting-set vertex budget exceeded: {len(h.vertices)} > {max_vertices}"
         )
-    current: list[frozenset] = [frozenset()]
-    for edge in h.edges:
-        hits = [s for s in current if s & edge]
-        misses = [s for s in current if not s & edge]
-        extended = {s | {v} for s in misses for v in edge}
-        current = minimal_sets(hits + list(extended))
-        if max_results is not None and len(current) > max_results:
-            raise ResourceLimitError(
-                f"hitting-set result budget exceeded: {len(current)} > {max_results}"
-            )
-    return sorted(current, key=set_key)
+    order, _, _, components = _components(h)
+    factors, total = [], 1
+    for c in components:
+        sets = []
+        for found in c.search(0, len(c.edges)):
+            if max_results is not None and total * (len(sets) + 1) > max_results:
+                raise ResourceLimitError(f"hitting-set result budget exceeded: > {max_results}")
+            sets.append(frozenset(order[b.bit_length() - 1] for b in _bits(found)))
+        factors.append(sets)
+        total *= len(sets)
+    return sorted((frozenset().union(*parts) for parts in product(*factors)), key=set_key)
 
 
 def exists_hs_within(h: Hypergraph, k: int, forced: Optional[Vertex] = None) -> bool:
     """Decide whether a hitting set of size at most k exists; with `forced`
-    given, whether a minimal hitting set of size at most k passes through it.
-
-    A vertex belongs to a minimal hitting set exactly when it covers some
-    edge privately: the rest of the set must avoid that witness edge
-    entirely and still hit every forced-free edge. (Merely padding a
-    hitting set with `forced` does not count: responsibilities are read off
-    minimal hitting sets only.)
-
-    Depth-bounded branching: pick the canonically smallest unhit edge and
-    try its vertices in canonical order, spending one unit of budget each.
-    """
-    if forced is not None:
-        if forced not in h.vertices:
-            raise CausekitError(f"vertex {forced!r} not in the hypergraph")
-        if k <= 0:
-            return False
-        return any(_branch(trimmed, k - 1) for trimmed in _witness_views(h, forced))
-    return _branch(list(h.edges), k)
-
-
-def _witness_views(h: Hypergraph, t: Vertex):
-    """For each edge through t that t could cover privately, the remaining
-    covering problem: every t-free edge trimmed by the witness edge.
-
-    A witness is infeasible when some t-free edge lies inside it (the
-    trimmed edge comes out empty); duplicate views are yielded once.
-    """
-    seen = set()
-    for e in h.edges:
-        if t not in e:
-            continue
-        trimmed = [other - e for other in h.edges if t not in other]
-        if any(not o for o in trimmed):
-            continue
-        signature = frozenset(trimmed)
-        if signature in seen:
-            continue
-        seen.add(signature)
-        yield trimmed
-
-
-def _branch(edges: list[frozenset], budget: int) -> bool:
-    if not edges:
-        return True
-    if budget <= 0:
+    given, whether a minimal one (not one merely padded with it) passes through
+    it. Its component is searched once, within the budget the other components'
+    minima leave; its exact minimum is never computed."""
+    _, bit, own, others = _components(h, forced)
+    if forced is not None and own is None:
         return False
-    if budget >= len(edges):
-        return True  # one vertex per edge always suffices
-    edge = min(edges, key=set_key)
-    for v in sorted(edge):
-        rest = [e for e in edges if v not in e]
-        if _branch(rest, budget - 1):
-            return True
-    return False
+    for c in others:
+        least = c.least(0, k)
+        if least is None:
+            return False
+        k -= least
+    return own is None or bool(next(own.search(bit, k), 0))
 
 
 def min_hs_size(h: Hypergraph) -> int:
     """Size of a minimum hitting set; 0 when there are no edges."""
-    if not h.edges:
-        return 0
-    lo, hi = 1, _greedy_cover_size(list(h.edges))
-    return _binary_search(lambda k: exists_hs_within(h, k), lo, hi)
+    return sum(c.least(0, len(c.edges)) for c in _components(h)[3])
 
 
 def min_hs_size_containing(h: Hypergraph, t: Vertex) -> Optional[int]:
     """Size of the smallest subset-minimal hitting set containing t, or None
     if t lies in no minimal hitting set (in particular when t occurs in no
-    edge, where it merely pads hitting sets and is never required).
+    edge, where it merely pads hitting sets and is never required): the least
+    size through t in its component plus the minima of the others."""
+    _, bit, own, others = _components(h, t)
+    through = own and own.least(bit, len(own.edges))
+    return through and through + sum(c.least(0, len(c.edges)) for c in others)
 
-    Considers each witness edge t could cover privately, binary-searches
-    the trimmed residual cover per witness, and takes the best; the search
-    range stays within [1, |vertices|].
-    """
-    if t not in h.vertices:
+
+def _components(h: Hypergraph, t: Optional[Vertex] = None) -> tuple:
+    """The vertices of the edges by bit position, t's bit, t's component (None
+    when t is None or in no edge) and the others, split by union-find."""
+    if t is not None and t not in h.vertices:
         raise CausekitError(f"vertex {t!r} not in the hypergraph")
-    best: Optional[int] = None
-    for trimmed in _witness_views(h, t):
-        if not trimmed:
-            return 1  # t alone covers privately; nothing else to hit
-        hi = _greedy_cover_size(trimmed)
-        size = 1 + _binary_search(lambda k: _branch(trimmed, k), 1, hi)
-        if best is None or size < best:
-            best = size
-    return best
+    index, parent, masks, incidence = {}, [], [], {}
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for e in h.edges:
+        ids = [index.setdefault(v, len(index)) for v in e]
+        parent.extend(range(len(parent), len(index)))
+        masks.append(sum(1 << i for i in ids))
+        for i in ids:
+            parent[root(i)] = root(ids[0])
+            incidence.setdefault(1 << i, []).append(masks[-1])
+    groups: dict = {}
+    for mask in masks:
+        groups.setdefault(root(mask.bit_length() - 1), []).append(mask)
+    bit = 1 << index[t] if t in index else 0
+    components = {r: _Component(group, incidence) for r, group in groups.items()}
+    own = components.pop(root(index[t])) if bit else None
+    return list(index), bit, own, list(components.values())
 
 
-def _binary_search(feasible, lo: int, hi: int) -> int:
-    # hi is always feasible by construction.
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+class _Component:
+    """One connected component's edges as int masks, with the edges through
+    each vertex (a map shared by all components). Its one search is MMCS."""
+
+    def __init__(self, edges: list[int], incidence: dict[int, list[int]]):
+        self.edges, self.incidence = edges, incidence
+
+    def least(self, chosen: int, cap: int) -> Optional[int]:
+        """The least size, at most cap, of a minimal hitting set through
+        `chosen`, or None. The budget doubles from 1 until a search finds a
+        set, then drops below each set found until a search finds none."""
+        least, budget = 0, 1
+        while not least and budget < 2 * cap:
+            least = next(self.search(chosen, min(budget, cap)), 0).bit_count()
+            budget *= 2
+        while least and (smaller := next(self.search(chosen, least - 1), 0)):
+            least = smaller.bit_count()
+        return least or None
+
+    def search(self, chosen: int, budget: int) -> Iterator[int]:
+        """Yield, as masks, the minimal hitting sets that contain `chosen` (one
+        vertex of this component, or none) and have at most `budget` members,
+        each once. (No minimal hitting set has more members than edges.)"""
+        room = budget - chosen.bit_count()
+        if room < 0:
+            return
+        # Depth first on a stack of branch iterators: no recursion limit on depth.
+        stack = [iter([(chosen, ~chosen, [e for e in self.edges if not e & chosen], room)])]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+            elif not node[2]:
+                yield node[0]
+            elif node[3]:
+                stack.append(self._branches(*node))
+
+    def _branches(self, s: int, candidates: int, uncovered: list[int], room: int) -> Iterator:
+        """The children of a search node: s grown by each candidate of the
+        uncovered edge with the fewest, while every member keeps a private edge."""
+        branch = min((e & candidates for e in uncovered), key=int.bit_count)
+        # Each branch may use the vertices of the branches before it, never
+        # those after it, so every minimal hitting set is reached exactly once.
+        candidates &= ~branch
+        for v in _bits(branch):
+            grown = s | v
+            # Only members that an edge through v was private to can have lost
+            # their last private edge.
+            lost = (u for u in (e & s for e in self.incidence[v]) if u and not u & (u - 1))
+            if all(any(e & grown == u for e in self.incidence[u]) for u in lost):
+                yield grown, candidates, [e for e in uncovered if not e & v], room - 1
+            candidates |= v
 
 
-def _greedy_cover_size(edges: list[frozenset]) -> int:
-    """Upper bound for the minimum cover: repeatedly take the vertex hitting
-    the most remaining edges (ties broken canonically)."""
-    remaining = list(edges)
-    size = 0
-    while remaining:
-        counts: dict = {}
-        for e in remaining:
-            for v in e:
-                counts[v] = counts.get(v, 0) + 1
-        best = max(sorted(counts), key=lambda v: counts[v])
-        remaining = [e for e in remaining if best not in e]
-        size += 1
-    return size
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def extend_for_vertex(g: Hypergraph, v: Vertex) -> list[Hypergraph]:

@@ -96,8 +96,13 @@ class Instance:
         return {a for t in self.tuples for a in t.args}
 
     def all_endogenous(self) -> "Instance":
-        """The same facts with every tuple treated as endogenous."""
-        return Instance(self.endo | self.exo, frozenset(), self.spelling)
+        """The same facts with every tuple treated as endogenous: this instance
+        when none is exogenous, else a view sharing its validated partition."""
+        if not self.exo:
+            return self
+        view = object.__new__(Instance)
+        vars(view).update(vars(self), endo=self.tuples, exo=frozenset())
+        return view
 
     def __len__(self) -> int:
         return len(self.endo) + len(self.exo)

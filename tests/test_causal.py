@@ -134,6 +134,20 @@ def test_decide_mrcd(ex1, ex4):
     assert not decide_mrcd(instance1, q1, f("s(a2)"))
 
 
+@pytest.mark.parametrize("k", [24, 40, 64])
+def test_matching_family_at_scale(k):
+    # M_k: k disjoint supports {a(i), b(i)}, one component each; every tuple
+    # has responsibility 1/k, far beyond the oracle's cap.
+    instance = inst(" ".join(f"a({i}). b({i})." for i in range(1, k + 1)))
+    q = ucq("q :- a(X), b(X).")
+    t = f(f"b({k // 2})")
+    assert responsibility(instance, q, t) == Fraction(1, k)
+    assert not decide_rpd(instance, q, t, Fraction(1, k))
+    assert decide_rpd(instance, q, t, Fraction(1, k + 1))
+    assert decide_mrcd(instance, q, t)
+    assert most_responsible(instance, q) == instance.endo and len(instance.endo) == 2 * k
+
+
 def test_counterfactual_characterization(ex1):
     instance, q = ex1
     for t in instance.endo:

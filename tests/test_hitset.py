@@ -70,6 +70,16 @@ def test_result_budget_is_enforced():
     assert len(minimal_hitting_sets(h, max_results=64)) == 64
 
 
+def test_result_budget_counts_final_sets_only():
+    # The answer has 7 sets, but the first three edges alone have 8 minimal
+    # hitting sets: a budget applied to partial results would fail here.
+    h = hg({"a", "x"}, {"b", "y"}, {"c", "z"}, {"x", "y", "z"})
+    sets = minimal_hitting_sets(h, max_results=7)
+    assert sets == brute_minimal_hitting_sets(h) and len(sets) == 7
+    with pytest.raises(ResourceLimitError):
+        minimal_hitting_sets(h, max_results=6)
+
+
 def test_vertex_budget_is_enforced():
     h = hg({"a", "b"})
     with pytest.raises(ResourceLimitError):
@@ -161,6 +171,26 @@ def test_bounded_decision_matches_forced_minimum(edges, k, forced):
         assert exists_hs_within(h, k, forced=forced) == (minimum <= k)
     else:
         assert not exists_hs_within(h, k, forced=forced)
+
+
+def _edges_over(alphabet):
+    edge = st.sets(st.sampled_from(alphabet), min_size=1, max_size=3).map(frozenset)
+    return st.lists(edge, min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edges_over("abcdef"), _edges_over("uvwxyz"), st.data())
+def test_disjoint_union_factors(left_edges, right_edges, data):
+    left = Hypergraph.build(set().union(*left_edges), left_edges)
+    right = Hypergraph.build(set().union(*right_edges), right_edges)
+    union = Hypergraph.build(left.vertices | right.vertices, left_edges + right_edges)
+    assert min_hs_size(union) == min_hs_size(left) + min_hs_size(right)
+    t = data.draw(st.sampled_from(sorted(left.vertices)))
+    own = min_hs_size_containing(left, t)
+    expected = None if own is None else own + min_hs_size(right)
+    assert min_hs_size_containing(union, t) == expected
+    counts = len(minimal_hitting_sets(left)) * len(minimal_hitting_sets(right))
+    assert len(minimal_hitting_sets(union)) == counts
 
 
 def brute_min_vc(h, must_contain=None):

@@ -101,6 +101,16 @@ def test_instance_constructor_validates():
         Instance(fs("s(a1)", "s(a1,a2)"), frozenset())
 
 
+def test_all_endogenous_view():
+    split = parse_instance(PQR_SPLIT_DB)
+    view = split.all_endogenous()
+    assert view == Instance(split.endo | split.exo, frozenset())
+    assert view.arities() == split.arities() == {"p": 1, "q": 2, "r": 2}
+    assert view.exo == frozenset() and view.spelling == split.spelling
+    assert view.all_endogenous() is view
+    assert split.all_endogenous() is not split
+
+
 def test_size_is_sum_of_partition_sizes():
     inst = parse_instance(PQR_SPLIT_DB)
     assert len(inst) == len(inst.endo) + len(inst.exo) == 4
