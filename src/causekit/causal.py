@@ -62,8 +62,8 @@ def minimal_contingencies(
     framework = hitting_framework(instance, q)
     if framework is None:
         return []
-    sets = minimal_hitting_sets(framework, max_results=max_results)
-    return sorted((h - {t} for h in sets if t in h), key=set_key)
+    sets = minimal_hitting_sets(framework, forced=t, max_results=max_results)
+    return sorted((h - {t} for h in sets), key=set_key)
 
 
 def responsibility(instance: Instance, q: UCQ, t: GroundTuple) -> Fraction:
@@ -93,7 +93,7 @@ def _most_responsible(instance: Instance, q: UCQ) -> tuple[frozenset[GroundTuple
         return frozenset(), 0
     best = min_hs_size(framework)
     candidates = {t for e in framework.edges for t in e}
-    return frozenset(t for t in candidates if min_hs_size_containing(framework, t) == best), best
+    return frozenset(t for t in candidates if exists_hs_within(framework, best, forced=t)), best
 
 
 def decide_rpd(instance: Instance, q: UCQ, t: GroundTuple, v: Fraction) -> bool:
@@ -118,7 +118,7 @@ def decide_mrcd(instance: Instance, q: UCQ, t: GroundTuple) -> bool:
     """Decide whether t is a cause of maximal responsibility."""
     _require_endogenous(instance, t)
     framework = hitting_framework(instance, q)
-    return framework is not None and min_hs_size_containing(framework, t) == min_hs_size(framework)
+    return framework is not None and exists_hs_within(framework, min_hs_size(framework), forced=t)
 
 
 @dataclass(frozen=True)

@@ -68,9 +68,7 @@ def diagnoses(
     hypergraph = hitting_framework(instance, UCQ((problem.observation,)))
     if hypergraph is None:
         return []
-    deltas = minimal_hitting_sets(hypergraph)
-    if t is not None:
-        deltas = [d for d in deltas if t in d]
+    deltas = minimal_hitting_sets(hypergraph, forced=t)
     if minimality == "c":
         deltas = least_sized(deltas)
     return [Diagnosis(d) for d in deltas]

@@ -4,13 +4,16 @@ The search is MMCS (Murakami & Uno, *Efficient algorithms for dualizing
 large-scale hypergraphs*, DAM 2014), run per connected component of the edges
 (a minimal hitting set is a union of one per component). It branches on the
 uncovered edge with the fewest candidates, prunes once a member has no private
-edge left (one the set hits only there), and stops at a size budget. Vertices
+edge left (one the set hits only there), and stops at a size budget. Each
+hypergraph is split once, each component finds its minimum once, and a
+question through one vertex (`forced`) searches its component from it. Vertices
 must be hashable and totally ordered; output is canonically sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Hashable, Iterable, Iterator, Optional
 
@@ -43,14 +46,42 @@ class Hypergraph:
         ordered = tuple(sorted(eset, key=set_key))
         return cls(vset, ordered, max((len(e) for e in ordered), default=0))
 
+    @cached_property
+    def _split(self) -> tuple[list, dict, list, list]:
+        """The vertices of the edges by bit position, each one's position, the
+        component of each position and the components, split by union-find once
+        per hypergraph; vertices in no edge belong to no component."""
+        index, parent, masks, incidence = {}, [], [], {}
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        for e in self.edges:
+            ids = [index.setdefault(v, len(index)) for v in e]
+            parent.extend(range(len(parent), len(index)))
+            masks.append(sum(1 << i for i in ids))
+            for i in ids:
+                parent[root(i)] = root(ids[0])
+                incidence.setdefault(1 << i, []).append(masks[-1])
+        groups: dict = {}
+        for mask in masks:
+            groups.setdefault(root(mask.bit_length() - 1), []).append(mask)
+        components = {r: _Component(group, incidence) for r, group in groups.items()}
+        owner = [components[root(i)] for i in range(len(index))]
+        return list(index), index, owner, list(components.values())
+
 
 def minimal_hitting_sets(
     h: Hypergraph,
     *,
+    forced: Optional[Vertex] = None,
     max_results: Optional[int] = None,
     max_vertices: Optional[int] = None,
 ) -> list[frozenset]:
-    """Exactly all subset-minimal hitting sets, canonically sorted.
+    """Exactly all subset-minimal hitting sets, canonically sorted; with
+    `forced` given, only those through it (its component is searched from it).
 
     With no edges the empty set is the unique answer. A budget counts final
     sets only; exceeding it raises ResourceLimitError rather than truncating.
@@ -59,11 +90,15 @@ def minimal_hitting_sets(
         raise ResourceLimitError(
             f"hitting-set vertex budget exceeded: {len(h.vertices)} > {max_vertices}"
         )
-    order, _, _, components = _components(h)
+    bit, own = _locate(h, forced)
+    if forced is not None and own is None:
+        return []
+    order, _, _, components = h._split
     factors, total = [], 1
-    for c in components:
+    # The forced vertex's component first: with no set through it, no budget fails.
+    for c in sorted(components, key=lambda c: c is not own):
         sets = []
-        for found in c.search(0, len(c.edges)):
+        for found in c.search(bit if c is own else 0, len(c.edges)):
             if max_results is not None and total * (len(sets) + 1) > max_results:
                 raise ResourceLimitError(f"hitting-set result budget exceeded: > {max_results}")
             sets.append(frozenset(order[b.bit_length() - 1] for b in _bits(found)))
@@ -77,20 +112,16 @@ def exists_hs_within(h: Hypergraph, k: int, forced: Optional[Vertex] = None) -> 
     given, whether a minimal one (not one merely padded with it) passes through
     it. Its component is searched once, within the budget the other components'
     minima leave; its exact minimum is never computed."""
-    _, bit, own, others = _components(h, forced)
+    bit, own = _locate(h, forced)
     if forced is not None and own is None:
         return False
-    for c in others:
-        least = c.least(0, k)
-        if least is None:
-            return False
-        k -= least
-    return own is None or bool(next(own.search(bit, k), 0))
+    k -= sum(c.minimum for c in h._split[3] if c is not own)
+    return k >= 0 and (own is None or bool(next(own.search(bit, k), 0)))
 
 
 def min_hs_size(h: Hypergraph) -> int:
     """Size of a minimum hitting set; 0 when there are no edges."""
-    return sum(c.least(0, len(c.edges)) for c in _components(h)[3])
+    return sum(c.minimum for c in h._split[3])
 
 
 def min_hs_size_containing(h: Hypergraph, t: Vertex) -> Optional[int]:
@@ -98,37 +129,17 @@ def min_hs_size_containing(h: Hypergraph, t: Vertex) -> Optional[int]:
     if t lies in no minimal hitting set (in particular when t occurs in no
     edge, where it merely pads hitting sets and is never required): the least
     size through t in its component plus the minima of the others."""
-    _, bit, own, others = _components(h, t)
-    through = own and own.least(bit, len(own.edges))
-    return through and through + sum(c.least(0, len(c.edges)) for c in others)
+    bit, own = _locate(h, t)
+    through = own and own.least(bit)
+    return through and through + sum(c.minimum for c in h._split[3] if c is not own)
 
 
-def _components(h: Hypergraph, t: Optional[Vertex] = None) -> tuple:
-    """The vertices of the edges by bit position, t's bit, t's component (None
-    when t is None or in no edge) and the others, split by union-find."""
+def _locate(h: Hypergraph, t: Optional[Vertex]) -> tuple[int, Optional[_Component]]:
+    """t's bit and component; (0, None) when t is None or in no edge."""
     if t is not None and t not in h.vertices:
         raise CausekitError(f"vertex {t!r} not in the hypergraph")
-    index, parent, masks, incidence = {}, [], [], {}
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for e in h.edges:
-        ids = [index.setdefault(v, len(index)) for v in e]
-        parent.extend(range(len(parent), len(index)))
-        masks.append(sum(1 << i for i in ids))
-        for i in ids:
-            parent[root(i)] = root(ids[0])
-            incidence.setdefault(1 << i, []).append(masks[-1])
-    groups: dict = {}
-    for mask in masks:
-        groups.setdefault(root(mask.bit_length() - 1), []).append(mask)
-    bit = 1 << index[t] if t in index else 0
-    components = {r: _Component(group, incidence) for r, group in groups.items()}
-    own = components.pop(root(index[t])) if bit else None
-    return list(index), bit, own, list(components.values())
+    _, index, owner, _ = h._split
+    return (1 << index[t], owner[index[t]]) if t in index else (0, None)
 
 
 class _Component:
@@ -138,11 +149,16 @@ class _Component:
     def __init__(self, edges: list[int], incidence: dict[int, list[int]]):
         self.edges, self.incidence = edges, incidence
 
-    def least(self, chosen: int, cap: int) -> Optional[int]:
-        """The least size, at most cap, of a minimal hitting set through
-        `chosen`, or None. The budget doubles from 1 until a search finds a
-        set, then drops below each set found until a search finds none."""
-        least, budget = 0, 1
+    @cached_property
+    def minimum(self) -> int:
+        """The size of a minimum hitting set of this component, found once."""
+        return self.least(0)
+
+    def least(self, chosen: int) -> Optional[int]:
+        """The least size of a minimal hitting set through `chosen`, or None.
+        The budget doubles from 1 until a search finds a set, then drops below
+        each set found until a search finds none."""
+        least, budget, cap = 0, 1, len(self.edges)
         while not least and budget < 2 * cap:
             least = next(self.search(chosen, min(budget, cap)), 0).bit_count()
             budget *= 2

@@ -78,7 +78,7 @@ class Instance:
 
     @property
     def tuples(self) -> frozenset[GroundTuple]:
-        return self.endo | self.exo
+        return self.endo | self.exo if self.exo else self.endo
 
     @cached_property
     def _relations(self) -> dict[tuple[str, int], list[GroundTuple]]:

@@ -95,20 +95,8 @@ def _valid_contingency_masks(instance: Instance, q: UCQ, t: GroundTuple, cap: in
 
 def causes(instance: Instance, q: UCQ, cap: int = DEFAULT_CAP) -> frozenset[GroundTuple]:
     """Every endogenous tuple with some witnessing contingency set."""
-    endo, order = _endo_layout(instance, cap)
-    witnesses = _witness_masks(order, q)
-    found = set()
-    for i, t in enumerate(endo):
-        t_bit = 1 << i
-        for g in range(1 << len(endo)):
-            if g & t_bit:
-                continue
-            if any(w & g == 0 for w in witnesses) and not any(
-                w & (g | t_bit) == 0 for w in witnesses
-            ):
-                found.add(t)
-                break
-    return frozenset(found)
+    endo, _ = _endo_layout(instance, cap)
+    return frozenset(t for t in endo if _valid_contingency_masks(instance, q, t, cap))
 
 
 def responsibility(

@@ -119,22 +119,19 @@ def parse_program(text: str) -> UCQ | list[DenialConstraint]:
     rules in one program is an error, as is an empty program.
     """
     stream = TokenStream(tokenize(text))
-    heads: list[str | None] = []
     bodies: list[tuple[QueryAtom, ...]] = []
     arities: dict[str, int] = {}
     first_head: str | None = None
-    saw_headed = saw_headless = False
+    saw_headless = False
     while not stream.at_end():
         tok = stream.peek()
         if tok.text == ":-":
-            head = None
             saw_headless = True
         else:
             if tok.kind != "word" or not tok.text[0].isalpha():
                 raise stream.error(f"expected a rule head or ':-', found {tok.text!r}")
             stream.advance()
             head = tok.text.lower()
-            saw_headed = True
             if first_head is None:
                 first_head = head
             elif head != first_head:
@@ -144,7 +141,7 @@ def parse_program(text: str) -> UCQ | list[DenialConstraint]:
                     tok.line,
                     tok.column,
                 )
-        if saw_headed and saw_headless:
+        if first_head is not None and saw_headless:
             raise ParseError(
                 "cannot mix headed rules and denial constraints in one program",
                 tok.line,
@@ -156,7 +153,6 @@ def parse_program(text: str) -> UCQ | list[DenialConstraint]:
             stream.advance()
             atoms.append(QueryAtom(*parse_atom(stream, arities, _parse_term)[:2]))
         stream.expect(".", "'.' after rule")
-        heads.append(head)
         bodies.append(tuple(atoms))
     if not bodies:
         raise ParseError("empty program", 1, 1)

@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 from .causal import _require_endogenous, hitting_framework
 from .errors import CausekitError
-from .hitset import Hypergraph, min_hs_size_containing, minimal_hitting_sets
+from .hitset import Hypergraph, exists_hs_within, min_hs_size, minimal_hitting_sets
 from .model import GroundTuple, Instance
 from .query import DenialConstraint, dcs_to_ucq
 
@@ -84,10 +84,12 @@ def difference_sets(
     """
     semantics = check_semantics(semantics)
     _require_endogenous(instance, t)
-    removals = minimal_hitting_sets(_violations(instance, [constraint]))
+    violations = _violations(instance, [constraint])
+    removals = minimal_hitting_sets(violations, forced=t)
     if semantics == "c":
-        removals = least_sized(removals)
-    return [r for r in removals if t in r and r <= instance.endo]
+        least = min_hs_size(violations)  # over all removal sets, not only those through t
+        removals = [r for r in removals if len(r) == least]
+    return [r for r in removals if r <= instance.endo]
 
 
 def is_s_repair(
@@ -125,13 +127,9 @@ def repair_size_at_least(
     violation view and the smallest removal set through t must leave at
     least m tuples.
     """
-    everything = instance.tuples
-    if t not in everything:
+    if t not in instance.tuples:
         raise CausekitError(f"tuple {t} is not in the instance")
-    n = len(everything)
+    n = len(instance)
     if m < 0 or m > n:
         raise CausekitError(f"size bound {m} outside [0, {n}]")
-    smallest = min_hs_size_containing(_violations(instance, [constraint]), t)
-    if smallest is None:
-        return False
-    return n - smallest >= m
+    return exists_hs_within(_violations(instance, [constraint]), n - m, forced=t)

@@ -143,15 +143,15 @@ def support_family(q: UCQ, instance: Instance) -> SupportFamily:
 
 
 def endogenous_support(q: UCQ, instance: Instance) -> SupportFamily:
-    """The minimal endogenous projections of the support sets.
-
+    """The minimal endogenous projections of the support sets, read off all
+    join images: an image's projection contains its minimal subset's.
     If some support set lies entirely in the exogenous part, the query is
     true independently of the endogenous tuples and the vacuous marker is
     returned: there are no causes in that case.
     """
-    full = support_family(q, instance)
-    projections = {s & instance.endo for s in full.sets}
-    if any(not p for p in projections):
+    images = set().union(*(_images(d, instance, stop_early=False) for d in q.disjuncts))
+    projections = {s & instance.endo for s in images}
+    if frozenset() in projections:
         return SupportFamily(base=instance.endo, sets=(), vacuous=True)
     sets = sorted(minimal_sets(projections), key=set_key)
     return SupportFamily(base=instance.endo, sets=tuple(sets))

@@ -9,13 +9,15 @@ CONSTANTS = tuple(f"c{i}" for i in range(6))
 VARIABLES = tuple(Variable(n) for n in ("X", "Y", "Z", "W"))
 
 
-def random_instance(rng: random.Random, max_endo: int = 12, max_exo: int = 4) -> Instance:
+def random_instance(
+    rng: random.Random, max_endo: int = 12, max_exo: int = 4, constants=CONSTANTS
+) -> Instance:
     n_endo = rng.randint(1, max_endo)
     n_exo = rng.randint(0, max_exo)
     pool = set()
     while len(pool) < n_endo + n_exo:
         rel, arity = rng.choice(RELATIONS)
-        args = tuple(rng.choice(CONSTANTS) for _ in range(arity))
+        args = tuple(rng.choice(constants) for _ in range(arity))
         pool.add(GroundTuple(rel, args))
     ordered = sorted(pool)
     rng.shuffle(ordered)

@@ -9,6 +9,7 @@ from causekit import (
     UCQ,
     CausekitError,
     Instance,
+    ResourceLimitError,
     actual_causes,
     cause_report,
     dcs_to_ucq,
@@ -66,6 +67,14 @@ def test_contingencies_ex4(ex4):
 def test_contingencies_of_non_cause(ex1):
     instance, q = ex1
     assert minimal_contingencies(instance, q, f("s(a2)")) == []
+
+
+def test_contingency_budget_counts_the_answer_only():
+    # a(1) has 4 minimal contingency sets; the framework has 8 minimal hitting sets.
+    instance, q = inst("a(1). b(1). a(2). b(2). a(3). b(3)."), ucq("q :- a(X), b(X).")
+    assert len(minimal_contingencies(instance, q, f("a(1)"), max_results=4)) == 4
+    with pytest.raises(ResourceLimitError):
+        minimal_contingencies(instance, q, f("a(1)"), max_results=3)
 
 
 def test_contingency_requires_endogenous_tuple(ex1):
@@ -134,7 +143,7 @@ def test_decide_mrcd(ex1, ex4):
     assert not decide_mrcd(instance1, q1, f("s(a2)"))
 
 
-@pytest.mark.parametrize("k", [24, 40, 64])
+@pytest.mark.parametrize("k", [24, 40, 64, 256])
 def test_matching_family_at_scale(k):
     # M_k: k disjoint supports {a(i), b(i)}, one component each; every tuple
     # has responsibility 1/k, far beyond the oracle's cap.

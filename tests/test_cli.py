@@ -315,6 +315,19 @@ def test_text_output_is_pinned(files, tmp_path, capsys, case):
     assert (code, out, err) == (0, expected, "")
 
 
+@pytest.mark.parametrize("limit, code", [("4", 0), ("3", 1)])
+def test_contingency_limit_counts_the_answer_only(tmp_path, capsys, limit, code):
+    (tmp_path / "m3.db").write_text(M3_DB)
+    (tmp_path / "m3.q").write_text(M3_Q)
+    argv = ["contingency", "--instance", str(tmp_path / "m3.db"), "--query",
+            str(tmp_path / "m3.q"), "--tuple", "a(1)", "--limit", limit]
+    got = run(capsys, *argv)
+    if code == 0:
+        assert got == (0, TEXT_CASES["contingency"][1], "")
+    else:
+        assert got[:2] == (1, "") and "resource limit exceeded" in got[2]
+
+
 def test_closed_pipe_exits_without_traceback(tmp_path):
     db = tmp_path / "stars.db"
     db.write_text(" ".join(f"p(s{i}). q(s{i},x). q(s{i},y)." for i in range(10)))

@@ -80,6 +80,21 @@ def test_result_budget_counts_final_sets_only():
         minimal_hitting_sets(h, max_results=6)
 
 
+def test_forced_result_budget_counts_sets_through_the_vertex_only():
+    # Through a: {a} times the two choices of each other edge, 4 sets of 8.
+    h = hg({"a", "x"}, {"b", "y"}, {"c", "z"})
+    assert len(minimal_hitting_sets(h, forced="a", max_results=4)) == 4
+    with pytest.raises(ResourceLimitError):
+        minimal_hitting_sets(h, forced="a", max_results=3)
+    # No minimal hitting set passes through d ({a} is inside {a, d}): the
+    # answer is empty, and so no budget is exceeded.
+    h = hg({"a"}, {"a", "d"}, {"b", "y"}, {"c", "z"}, vertices={"e"})
+    assert minimal_hitting_sets(h, forced="d", max_results=0) == []
+    assert minimal_hitting_sets(h, forced="e", max_results=0) == []
+    with pytest.raises(CausekitError):
+        minimal_hitting_sets(h, forced="missing")
+
+
 def test_vertex_budget_is_enforced():
     h = hg({"a", "b"})
     with pytest.raises(ResourceLimitError):
@@ -100,6 +115,8 @@ def test_exists_hs_within_forced():
     assert exists_hs_within(h, 2, forced="q(a,b)")
     assert not exists_hs_within(h, 0)
     assert exists_hs_within(Hypergraph.build({"a"}, []), 0)
+    assert not exists_hs_within(Hypergraph.build({"a"}, []), -1)
+    assert not exists_hs_within(h, -1, forced="p(a)")
 
 
 def test_min_hs_size_containing_examples():
@@ -157,7 +174,10 @@ _edge = st.sets(st.sampled_from("abcdefghijkl"), min_size=1, max_size=3).map(fro
 @given(st.lists(_edge, max_size=7))
 def test_enumeration_matches_brute_force(edges):
     h = Hypergraph.build(set().union(*edges) if edges else set(), edges)
-    assert minimal_hitting_sets(h) == brute_minimal_hitting_sets(h)
+    everything = minimal_hitting_sets(h)
+    assert everything == brute_minimal_hitting_sets(h)
+    for t in sorted(h.vertices):
+        assert minimal_hitting_sets(h, forced=t) == [s for s in everything if t in s]
 
 
 @settings(max_examples=100, deadline=None)

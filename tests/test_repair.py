@@ -80,11 +80,30 @@ def test_difference_sets(ex1):
         fs("r(a4,a3)", "r(a3,a3)")
     ]
     assert difference_sets(instance, constraint, f("s(a3)"), "c") == [fs("s(a3)")]
+    # Every removal set through r(a4,a3) has two tuples, {s(a3)} has one:
+    # no cardinality repair drops it.
+    assert difference_sets(instance, constraint, f("r(a4,a3)"), "c") == []
     assert difference_sets(instance, constraint, f("s(a2)"), "s") == []
     assert difference_sets(instance, constraint, f("r(a3,a3)"), "s") == [
         fs("r(a3,a3)", "r(a4,a3)"),
         fs("r(a3,a3)", "s(a4)"),
     ]
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_c_difference_sets_are_nonempty_exactly_for_most_responsible(seed):
+    # Three constants make joins dense enough that many causes are not most
+    # responsible (the tuple r(a4,a3) above, at random).
+    rng = random.Random(5700 + seed)
+    instance = random_instance(rng, max_endo=10, max_exo=0, constants=("c0", "c1", "c2"))
+    for text in (":- q(X,Y), r(Y,Z).", ":- p(X), q(X,Y), r(Y,Z).", ":- p(X), q(X,Y)."):
+        constraint = dcs(text)[0]
+        top = most_responsible(instance, dcs_to_ucq([constraint]))
+        c_removed = [instance.tuples - kept for kept in oracle.repairs(instance, [constraint], "c")]
+        for t in sorted(instance.endo):
+            found = difference_sets(instance, constraint, t, "c")
+            assert bool(found) == (t in top)
+            assert set(found) == {r for r in c_removed if t in r}
 
 
 def test_difference_sets_respect_partition():
