@@ -86,8 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("repairs", _cmd_repairs, "repairs with respect to the constraints")
     p.add_argument("--semantics", choices=("s", "c"), default="s")
-    p.add_argument("--limit", type=non_negative_int, metavar="N", help="abort beyond N repairs; "
-                   "under --semantics c, beyond N s-repairs before the least-size filter")
+    p.add_argument("--limit", type=non_negative_int, metavar="N", help="abort beyond N repairs")
 
     p = cmd("repair-check", _cmd_repair_check, "check a candidate subset repair")
     p.add_argument("--candidate", required=True, metavar="FILE")

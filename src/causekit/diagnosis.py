@@ -19,7 +19,7 @@ from .causal import _require_endogenous, hitting_framework
 from .hitset import minimal_hitting_sets
 from .model import GroundTuple, Instance, canonical_sort, format_constant
 from .query import UCQ, Constant, DenialConstraint, Disjunct
-from .repair import Repair, check_semantics, least_sized, repairs
+from .repair import Repair, check_semantics, repairs
 from .support import SupportFamily, endogenous_support
 
 
@@ -68,9 +68,7 @@ def diagnoses(
     hypergraph = hitting_framework(instance, UCQ((problem.observation,)))
     if hypergraph is None:
         return []
-    deltas = minimal_hitting_sets(hypergraph, forced=t)
-    if minimality == "c":
-        deltas = least_sized(deltas)
+    deltas = minimal_hitting_sets(hypergraph, forced=t, least=minimality == "c")
     return [Diagnosis(d) for d in deltas]
 
 

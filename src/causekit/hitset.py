@@ -6,8 +6,10 @@ large-scale hypergraphs*, DAM 2014), run per connected component of the edges
 uncovered edge with the fewest candidates, prunes once a member has no private
 edge left (one the set hits only there), and stops at a size budget. Each
 hypergraph is split once, each component finds its minimum once, and a
-question through one vertex (`forced`) searches its component from it. Vertices
-must be hashable and totally ordered; output is canonically sorted.
+question through one vertex (`forced`) searches its component from it. The
+least-size sets (`least`) come from the same search, budgeted at each
+component's least size. Vertices must be hashable and totally ordered; output is
+canonically sorted.
 """
 
 from __future__ import annotations
@@ -77,11 +79,13 @@ def minimal_hitting_sets(
     h: Hypergraph,
     *,
     forced: Optional[Vertex] = None,
+    least: bool = False,
     max_results: Optional[int] = None,
     max_vertices: Optional[int] = None,
 ) -> list[frozenset]:
     """Exactly all subset-minimal hitting sets, canonically sorted; with
-    `forced` given, only those through it (its component is searched from it).
+    `forced` given, only those through it (its component is searched from it);
+    with `least`, only the least-sized of those.
 
     With no edges the empty set is the unique answer. A budget counts final
     sets only; exceeding it raises ResourceLimitError rather than truncating.
@@ -93,17 +97,24 @@ def minimal_hitting_sets(
     bit, own = _locate(h, forced)
     if forced is not None and own is None:
         return []
+
+    def within(total: int) -> None:
+        if max_results is not None and total > max_results:
+            raise ResourceLimitError(f"hitting-set result budget exceeded: > {max_results}")
+
     order, _, _, components = h._split
     factors, total = [], 1
     # The forced vertex's component first: with no set through it, no budget fails.
     for c in sorted(components, key=lambda c: c is not own):
+        # Budget 0 finds nothing when no minimal hitting set passes through `bit`.
+        budget = (c.least(bit) or 0 if c is own else c.minimum) if least else len(c.edges)
         sets = []
-        for found in c.search(bit if c is own else 0, len(c.edges)):
-            if max_results is not None and total * (len(sets) + 1) > max_results:
-                raise ResourceLimitError(f"hitting-set result budget exceeded: > {max_results}")
+        for found in c.search(bit if c is own else 0, budget):
+            within(total * (len(sets) + 1))
             sets.append(frozenset(order[b.bit_length() - 1] for b in _bits(found)))
         factors.append(sets)
         total *= len(sets)
+    within(total)  # the empty product, with no components, is one set too
     return sorted((frozenset().union(*parts) for parts in product(*factors)), key=set_key)
 
 

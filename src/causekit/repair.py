@@ -36,13 +36,6 @@ def check_semantics(semantics: str) -> str:
     return s
 
 
-def least_sized(sets: list[frozenset]) -> list[frozenset]:
-    """The members of least cardinality, in their given order: the "c"
-    filter applied to s-minimal removal sets and diagnoses."""
-    least = min((len(s) for s in sets), default=0)
-    return [s for s in sets if len(s) == least]
-
-
 def _violations(instance: Instance, constraints: list[DenialConstraint]) -> Hypergraph:
     """The violation hypergraph of the all-endogenous instance: every tuple
     is a vertex, every minimal violating set an edge. Never vacuous, since
@@ -64,9 +57,8 @@ def repairs(
     minimal hitting sets of the violation supports.
     """
     semantics = check_semantics(semantics)
-    removals = minimal_hitting_sets(_violations(instance, constraints), max_results=max_results)
-    if semantics == "c":
-        removals = least_sized(removals)
+    violations = _violations(instance, constraints)
+    removals = minimal_hitting_sets(violations, least=semantics == "c", max_results=max_results)
     everything = instance.tuples
     return [Repair(kept=everything - r, removed=r, semantics=semantics) for r in removals]
 
@@ -85,10 +77,9 @@ def difference_sets(
     semantics = check_semantics(semantics)
     _require_endogenous(instance, t)
     violations = _violations(instance, [constraint])
-    removals = minimal_hitting_sets(violations, forced=t)
-    if semantics == "c":
-        least = min_hs_size(violations)  # over all removal sets, not only those through t
-        removals = [r for r in removals if len(r) == least]
+    if semantics == "c" and not exists_hs_within(violations, min_hs_size(violations), forced=t):
+        return []
+    removals = minimal_hitting_sets(violations, forced=t, least=semantics == "c")
     return [r for r in removals if r <= instance.endo]
 
 

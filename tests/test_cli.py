@@ -328,6 +328,17 @@ def test_contingency_limit_counts_the_answer_only(tmp_path, capsys, limit, code)
         assert got[:2] == (1, "") and "resource limit exceeded" in got[2]
 
 
+@pytest.mark.parametrize("limit, code", [("1", 0), ("0", 1)])
+def test_c_repairs_limit_counts_c_repairs(files, capsys, limit, code):
+    # pqr.db has 2 s-repairs, of which 1 is a c-repair.
+    argv = TEXT_CASES["repairs-c"][0] + ["--limit", limit]
+    got = run(capsys, *(files.get(a, a) for a in argv))
+    if code == 0:
+        assert got == (0, TEXT_CASES["repairs-c"][1], "")
+    else:
+        assert got[:2] == (1, "") and "resource limit exceeded" in got[2]
+
+
 def test_closed_pipe_exits_without_traceback(tmp_path):
     db = tmp_path / "stars.db"
     db.write_text(" ".join(f"p(s{i}). q(s{i},x). q(s{i},y)." for i in range(10)))

@@ -4,7 +4,7 @@ import random
 from itertools import chain, combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from causekit import (
     CausekitError,
@@ -40,6 +40,12 @@ def brute_minimal_hitting_sets(h):
     )
 
 
+def least_sized(sets):
+    """The members of least size, in their given order."""
+    least = min(map(len, sets), default=0)
+    return [s for s in sets if len(s) == least]
+
+
 def test_example_two_edges():
     h = hg({"p(a)", "q(a,b)"}, {"p(a)", "r(a,c)"})
     assert minimal_hitting_sets(h) == [
@@ -60,6 +66,10 @@ def test_example_three_tuple_supports():
 def test_no_edges_yields_empty_set():
     h = Hypergraph.build({"a", "b"}, [])
     assert minimal_hitting_sets(h) == [frozenset()]
+    assert minimal_hitting_sets(h, least=True, max_results=1) == [frozenset()]
+    # The empty set is an answer too, so a zero budget is exceeded.
+    with pytest.raises(ResourceLimitError):
+        minimal_hitting_sets(h, max_results=0)
 
 
 def test_result_budget_is_enforced():
@@ -68,6 +78,11 @@ def test_result_budget_is_enforced():
     with pytest.raises(ResourceLimitError):
         minimal_hitting_sets(h, max_results=10)
     assert len(minimal_hitting_sets(h, max_results=64)) == 64
+    # Two 3-vertex paths: 2 * 2 minimal hitting sets, of which 1 * 1 are least-sized.
+    h = hg({"a", "b"}, {"b", "c"}, {"x", "y"}, {"y", "z"})
+    assert minimal_hitting_sets(h, least=True, max_results=1) == [frozenset({"b", "y"})]
+    with pytest.raises(ResourceLimitError):
+        minimal_hitting_sets(h, max_results=1)
 
 
 def test_result_budget_counts_final_sets_only():
@@ -172,12 +187,17 @@ _edge = st.sets(st.sampled_from("abcdefghijkl"), min_size=1, max_size=3).map(fro
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_edge, max_size=7))
+# {a} lies inside {a, b}: no minimal hitting set passes through b, least or not.
+@example([frozenset("a"), frozenset("ab")])
 def test_enumeration_matches_brute_force(edges):
     h = Hypergraph.build(set().union(*edges) if edges else set(), edges)
     everything = minimal_hitting_sets(h)
     assert everything == brute_minimal_hitting_sets(h)
+    assert minimal_hitting_sets(h, least=True) == least_sized(everything)
     for t in sorted(h.vertices):
-        assert minimal_hitting_sets(h, forced=t) == [s for s in everything if t in s]
+        through = [s for s in everything if t in s]
+        assert minimal_hitting_sets(h, forced=t) == through
+        assert minimal_hitting_sets(h, forced=t, least=True) == least_sized(through)
 
 
 @settings(max_examples=100, deadline=None)
