@@ -1,55 +1,38 @@
-"""Tokenizer shared by the instance and rule parsers."""
+"""The one scanner shared by the instance and rule parsers: `TokenStream(text)`.
+
+Tokens carry their character offset; a `ParseError`'s 1-based line and
+column are worked out from it only when the error is raised. A column
+counts characters (a tab is one), and only "\\n" ends a line.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ParseError
 
-# 'word' covers relation names, variables, and unquoted constants; the
-# parsers classify them by their first character.
+# Whitespace and comments match no named group. 'word' covers relation names,
+# variables, and unquoted constants; the parsers classify them by their first
+# character. 'bad' is any character that starts no token.
 _TOKEN = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>%[^\n]*)
+      \s+
+    | %[^\n]*
     | (?P<arrow>:-)
     | (?P<punct>[().,\[\]])
     | (?P<quoted>"(?:[^"\\\n]|\\.)*")
-    | (?P<word>[A-Za-z0-9_][A-Za-z0-9_]*)
+    | (?P<word>[A-Za-z0-9_]+)
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "arrow" | "punct" | "quoted" | "word" | "end"
     text: str
-    line: int
-    column: int
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            ch = text[pos]
-            msg = "unterminated string literal" if ch == '"' else f"unexpected character {ch!r}"
-            raise ParseError(msg, line, pos - bol + 1)
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, m.group(), line, m.start() - bol + 1))
-        nl = m.group().count("\n")
-        if nl:
-            line += nl
-            bol = m.start() + m.group().rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("end", "", line, len(text) - bol + 1))
-    return tokens
+    offset: int
 
 
 def unquote(text: str) -> str:
@@ -66,9 +49,19 @@ def is_variable_word(text: str) -> bool:
     return text[0].isupper() or text[0] == "_"
 
 
+def _found(tok: Token) -> str:
+    return "end of input" if tok.kind == "end" else repr(tok.text)
+
+
 class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    def __init__(self, text: str):
+        self._text = text
+        self._tokens = [Token(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text) if m.lastgroup]
+        for tok in self._tokens:
+            if tok.kind == "bad":
+                msg = "unterminated string literal" if tok.text == '"' else f"unexpected character {tok.text!r}"
+                raise self.error(msg, tok)
+        self._tokens.append(Token("end", "", len(text)))
         self._pos = 0
 
     def peek(self) -> Token:
@@ -86,13 +79,14 @@ class TokenStream:
     def expect(self, text: str, what: str | None = None) -> Token:
         tok = self.peek()
         if tok.text != text:
-            found = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ParseError(f"expected {what or text!r}, found {found}", tok.line, tok.column)
+            raise self.error(f"expected {what or text!r}, found {_found(tok)}")
         return self.advance()
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
+        """A ParseError at `tok` (default: the next token), positioned by its offset."""
+        offset = (self.peek() if tok is None else tok).offset
+        line_start = self._text.rfind("\n", 0, offset) + 1
+        return ParseError(message, self._text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def parse_atom(stream: TokenStream, arities: dict[str, int], parse_arg: Callable):
@@ -104,8 +98,7 @@ def parse_atom(stream: TokenStream, arities: dict[str, int], parse_arg: Callable
     """
     tok = stream.peek()
     if tok.kind != "word" or not tok.text[0].isalpha():
-        found = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise stream.error(f"expected a relation name, found {found}")
+        raise stream.error(f"expected a relation name, found {_found(tok)}")
     stream.advance()
     relation = tok.text.lower()
     stream.expect("(", "'(' after relation name")
@@ -116,9 +109,5 @@ def parse_atom(stream: TokenStream, arities: dict[str, int], parse_arg: Callable
     stream.expect(")")
     seen = arities.setdefault(relation, len(args))
     if seen != len(args):
-        raise ParseError(
-            f"arity conflict for relation '{relation}': {seen} vs {len(args)}",
-            tok.line,
-            tok.column,
-        )
+        raise stream.error(f"arity conflict for relation '{relation}': {seen} vs {len(args)}", tok)
     return relation, tuple(args), tok

@@ -13,10 +13,11 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping
 
-from ._scan import TokenStream, is_constant_word, parse_atom, tokenize, unquote
-from .errors import CausekitError, ParseError
+from ._scan import TokenStream, is_constant_word, parse_atom, unquote
+from .errors import CausekitError
 
 _PLAIN_CONSTANT = re.compile(r"[a-z0-9][A-Za-z0-9_]*\Z")
+_RELATION = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
 def format_constant(symbol: str) -> str:
@@ -116,7 +117,7 @@ def parse_instance(text: str) -> Instance:
     collapsed silently; the same fact in both sections is an error, as is an
     arity conflict for a relation.
     """
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(text)
     section_endo = True
     endo: set[GroundTuple] = set()
     exo: set[GroundTuple] = set()
@@ -139,7 +140,7 @@ def parse_instance(text: str) -> Instance:
         stream.expect(".", "'.' after fact")
         target, other = (endo, exo) if section_endo else (exo, endo)
         if fact in other:
-            raise ParseError(f"fact {fact} appears in both partitions", where.line, where.column)
+            raise stream.error(f"fact {fact} appears in both partitions", where)
         target.add(fact)
     return Instance(frozenset(endo), frozenset(exo), spelling)
 
@@ -149,7 +150,7 @@ def parse_fact(text: str) -> GroundTuple:
 
     The trailing period is optional.
     """
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(text)
     fact = GroundTuple(*parse_atom(stream, {}, _parse_constant)[:2])
     if stream.peek().text == ".":
         stream.advance()
@@ -173,11 +174,15 @@ def serialize_instance(instance: Instance) -> str:
     """Render an instance in the file format; parsing the result round-trips.
 
     Relation names use the spelling first seen when the instance was parsed.
+    CausekitError is raised for a fact the format cannot spell: a relation
+    outside `[a-z][a-z0-9_]*`, no arguments, or a newline in a constant.
     """
     lines: list[str] = []
 
     def emit(tuples: frozenset[GroundTuple]) -> None:
         for t in canonical_sort(tuples):
+            if not (_RELATION.match(t.relation) and t.args) or any("\n" in a for a in t.args):
+                raise CausekitError(f"fact {t.relation!r}{t.args!r} has no form in the instance format")
             rel = instance.spelling.get(t.relation, t.relation)
             lines.append(f"{rel}({','.join(format_constant(a) for a in t.args)}).")
 

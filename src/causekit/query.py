@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from ._scan import TokenStream, is_constant_word, is_variable_word, parse_atom, tokenize, unquote
+from ._scan import TokenStream, is_constant_word, is_variable_word, parse_atom, unquote
 from .errors import CausekitError, ParseError
 from .model import format_constant
 
@@ -118,7 +118,7 @@ def parse_program(text: str) -> UCQ | list[DenialConstraint]:
     All headed rules must share one head name; mixing headed and headless
     rules in one program is an error, as is an empty program.
     """
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(text)
     bodies: list[tuple[QueryAtom, ...]] = []
     arities: dict[str, int] = {}
     first_head: str | None = None
@@ -135,18 +135,13 @@ def parse_program(text: str) -> UCQ | list[DenialConstraint]:
             if first_head is None:
                 first_head = head
             elif head != first_head:
-                raise ParseError(
+                raise stream.error(
                     f"rule head {head!r} differs from earlier head {first_head!r};"
                     " all rules of a union query share one head",
-                    tok.line,
-                    tok.column,
+                    tok,
                 )
         if first_head is not None and saw_headless:
-            raise ParseError(
-                "cannot mix headed rules and denial constraints in one program",
-                tok.line,
-                tok.column,
-            )
+            raise stream.error("cannot mix headed rules and denial constraints in one program", tok)
         stream.expect(":-", "':-'")
         atoms = [QueryAtom(*parse_atom(stream, arities, _parse_term)[:2])]
         while stream.peek().text == ",":

@@ -116,7 +116,7 @@ def test_size_is_sum_of_partition_sizes():
     assert len(inst) == len(inst.endo) + len(inst.exo) == 4
 
 
-_constants = st.text(alphabet="ab0", min_size=1, max_size=2).map(lambda s: s)
+_constants = st.text(alphabet='ab0"\\ A_', max_size=3)
 _tuples = st.builds(
     GroundTuple,
     relation=st.sampled_from(["p", "q"]),
@@ -133,3 +133,19 @@ def test_round_trip(endo, exo):
     except CausekitError:
         return
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+@pytest.mark.parametrize(
+    "fact",
+    [
+        GroundTuple("p", ("a\nb",)),
+        GroundTuple("P", ("a",)),
+        GroundTuple("a b", ("a",)),
+        GroundTuple("1p", ("a",)),
+        GroundTuple("p", ()),
+    ],
+)
+def test_serialize_rejects_facts_without_a_text_form(fact):
+    with pytest.raises(CausekitError, match="has no form in the instance format") as err:
+        serialize_instance(Instance(frozenset(), frozenset([fact])))
+    assert repr(fact.args) in str(err.value)
