@@ -9,6 +9,7 @@ and responsibilities are rendered as "numerator/denominator" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -55,6 +56,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causekit",
@@ -220,13 +222,17 @@ def _render_contingencies(t, sets):
 
 
 def _render_repairs(instance, semantics, removals):
-    """Repairs given by their removed sets, in the given order. Kept and
-    removed lists filter one canonically ordered rendering of the instance."""
-    named = [(t, str(t)) for t in canonical_sort(instance.tuples)]
+    """Repairs given by their removed sets, in the given order. Each cuts its
+    removed positions out of one canonically ordered list of tuple names."""
+    position = {t: i for i, t in enumerate(canonical_sort(instance.tuples))}
+    names = [str(t) for t in position]
     lines, repairs = [], []
     for removed in removals:
-        kept_names = [name for t, name in named if t not in removed]
-        removed_names = [name for t, name in named if t in removed]
+        cut = sorted(position[t] for t in removed)
+        removed_names = [names[i] for i in cut]
+        kept_names = names.copy()
+        for i in reversed(cut):
+            del kept_names[i]
         lines.append(f"removed: {_braces(removed_names)} kept: {_braces(kept_names)}")
         repairs.append({"kept": kept_names, "removed": removed_names})
     return lines, {"semantics": semantics, "repairs": repairs}

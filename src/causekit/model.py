@@ -18,6 +18,7 @@ from .errors import CausekitError
 
 _PLAIN_CONSTANT = re.compile(r"[a-z0-9][A-Za-z0-9_]*\Z")
 _RELATION = re.compile(r"[a-z][a-z0-9_]*\Z")
+_SPELLING = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 def format_constant(symbol: str) -> str:
@@ -173,7 +174,7 @@ def _parse_constant(stream: TokenStream) -> str:
 def serialize_instance(instance: Instance) -> str:
     """Render an instance in the file format; parsing the result round-trips.
 
-    Relation names use the spelling first seen when the instance was parsed.
+    Relation names use the spelling first seen in parsing when it parses back.
     CausekitError is raised for a fact the format cannot spell: a relation
     outside `[a-z][a-z0-9_]*`, no arguments, or a newline in a constant.
     """
@@ -184,6 +185,7 @@ def serialize_instance(instance: Instance) -> str:
             if not (_RELATION.match(t.relation) and t.args) or any("\n" in a for a in t.args):
                 raise CausekitError(f"fact {t.relation!r}{t.args!r} has no form in the instance format")
             rel = instance.spelling.get(t.relation, t.relation)
+            rel = rel if _SPELLING.match(rel) and rel.lower() == t.relation else t.relation
             lines.append(f"{rel}({','.join(format_constant(a) for a in t.args)}).")
 
     if instance.exo:

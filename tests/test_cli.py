@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from causekit.cli import main
+from causekit import GroundTuple, Instance, canonical_sort
+from causekit.cli import _render_repairs, main
 
 from fixtures import CHAIN_DB, CHAIN_Q, PQR_DB, PQR_DCS, TRIO_SPLIT_DB, M8_DB, M8_Q
 
@@ -339,17 +341,22 @@ def test_c_repairs_limit_counts_c_repairs(files, capsys, limit, code):
         assert got[:2] == (1, "") and "resource limit exceeded" in got[2]
 
 
+def _subprocess_env():
+    """This environment, with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_closed_pipe_exits_without_traceback(tmp_path):
     db = tmp_path / "stars.db"
     db.write_text(" ".join(f"p(s{i}). q(s{i},x). q(s{i},y)." for i in range(10)))
     dc = tmp_path / "stars.dc"
     dc.write_text(":- p(X), q(X,Y).")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "causekit.cli", "repairs",
             "--instance", str(db), "--query", str(dc)]
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env={**os.environ, "PYTHONPATH": path})
+                            env=_subprocess_env())
     # 1 024 repairs, about 270 kB: more than the pipe holds once the reader is gone
     assert proc.stdout.readline().startswith(b"removed: ")
     proc.stdout.close()
@@ -357,3 +364,71 @@ def test_closed_pipe_exits_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""  # no traceback, no "Exception ignored" note from the flush at exit
+
+
+def _fresh_process(argv):
+    """(stdout, stderr, exit code) of `python -m causekit.cli argv` in a new process."""
+    proc = subprocess.run([sys.executable, "-m", "causekit.cli", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def test_reusing_the_parser_changes_nothing(files, capsys, monkeypatch):
+    # One process answers every request the way a fresh process does.
+    db, dc = ["--instance", files["pqr.db"]], ["--query", files["pqr.dc"]]
+    valid = ["repairs", *db, *dc, "--json"]
+    requests = [
+        ["no-such-command"],
+        ["--help"],
+        ["repairs", "--help"],
+        ["repairs", *db, *dc, "--limit", "-1"],
+        valid,
+        ["responsibility", *db, *dc],
+        ["oracle", "repairs", *db, *dc],
+        valid,
+    ]
+    monkeypatch.setenv("COLUMNS", "60")
+    for argv in requests:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (out, err, code) == _fresh_process(argv), argv
+
+
+# Quoted constants ("A", "a b") make a tuple's name sort apart from the tuple.
+_facts = st.builds(
+    lambda rel_arity, args: GroundTuple(rel_arity[0], tuple(args[: rel_arity[1]])),
+    st.sampled_from([("p", 1), ("q", 2)]),
+    st.lists(st.sampled_from(["a", "b", "A", "a b", "0"]), min_size=2, max_size=2),
+)
+
+
+@given(st.lists(st.tuples(_facts, st.booleans()), max_size=8, unique_by=lambda x: x[0]), st.data())
+def test_render_repairs_matches_filtering_the_instance(facts, data):
+    instance = Instance(frozenset(t for t, endo in facts if endo),
+                        frozenset(t for t, endo in facts if not endo))
+    ordered = canonical_sort(instance.tuples)
+    masks = data.draw(st.lists(st.lists(st.booleans(), min_size=len(ordered),
+                                        max_size=len(ordered)), max_size=4))
+    removals = [frozenset(t for t, out in zip(ordered, mask) if out) for mask in masks]
+    semantics = data.draw(st.sampled_from("sc"))
+
+    lines, payload = _render_repairs(instance, semantics, removals)
+
+    named = [(t, str(t)) for t in ordered]
+    expected_lines, expected_repairs = [], []
+    for removed in removals:
+        kept_names = [name for t, name in named if t not in removed]
+        removed_names = [name for t, name in named if t in removed]
+        expected_lines.append("removed: {" + ", ".join(removed_names) + "} kept: {"
+                              + ", ".join(kept_names) + "}")
+        expected_repairs.append({"kept": kept_names, "removed": removed_names})
+    assert lines == expected_lines
+    assert payload == {"semantics": semantics, "repairs": expected_repairs}
+    for removed, repair in zip(removals, payload["repairs"]):
+        assert not set(repair["kept"]) & set(repair["removed"])
+        assert sorted(repair["kept"] + repair["removed"]) == sorted(str(t) for t in ordered)
+        assert repair["removed"] == [str(t) for t in canonical_sort(removed)]
+        assert repair["kept"] == [str(t) for t in canonical_sort(instance.tuples - removed)]

@@ -71,6 +71,24 @@ def test_relation_names_normalized_but_spelling_kept():
     assert serialize_instance(inst).splitlines() == ["S(a3).", "S(a4)."]
 
 
+@pytest.mark.parametrize(
+    "relation, spelling, text",
+    [
+        ("p_1", "P_1", "P_1(a).\n"),
+        ("p", "Q", "p(a).\n"),
+        ("p", "p x", "p(a).\n"),
+        ("p", "p(", "p(a).\n"),
+        ("p", "_p", "p(a).\n"),
+        ("p", "", "p(a).\n"),
+        ("k", "\u212a", "k(a).\n"),  # the Kelvin sign lower-cases to "k" but is not ASCII
+    ],
+)
+def test_serialize_uses_a_spelling_only_when_it_parses_back(relation, spelling, text):
+    inst = Instance(frozenset([GroundTuple(relation, ("a",))]), frozenset(), {relation: spelling})
+    assert serialize_instance(inst) == text
+    assert parse_instance(text) == inst
+
+
 def test_quoted_constants_round_trip():
     inst = parse_instance('s("Hello, world"). s("with \\"quotes\\"").')
     assert parse_instance(serialize_instance(inst)) == inst
