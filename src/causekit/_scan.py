@@ -1,8 +1,15 @@
-"""The one scanner shared by the instance and rule parsers: `TokenStream(text)`.
+"""The grammar of instance and rule text, and the scanner that reads it.
 
+`TokenStream(text)` is the one scanner of the instance and rule parsers.
 Tokens carry their character offset; a `ParseError`'s 1-based line and
 column are worked out from it only when the error is raised. A column
 counts characters (a tab is one), and only "\\n" ends a line.
+
+`FACT` reads instance text one header or whole fact per match, with no
+tokens, where a fact holds only plain words and no gaps. It is built from
+the same word and comment sub-patterns as the scanner, so a change to the
+grammar is one edit; text it does not match is left to the scanner, which
+reads it or reports the error.
 """
 
 from __future__ import annotations
@@ -12,20 +19,39 @@ from typing import Callable, NamedTuple
 
 from .errors import ParseError
 
+# The grammar's pieces, shared by `_TOKEN` and the fact reader's `FACT`.
+_WORD_CHARS = "A-Za-z0-9_"
+_COMMENT = r"%[^\n]*"
+_BARE = rf"[a-z0-9][{_WORD_CHARS}]*"  # a word that is a constant
+
 # Whitespace and comments match no named group. 'word' covers relation names,
 # variables, and unquoted constants; the parsers classify them by their first
 # character. 'bad' is any character that starts no token.
 _TOKEN = re.compile(
-    r"""
+    rf"""
       \s+
-    | %[^\n]*
+    | {_COMMENT}
     | (?P<arrow>:-)
     | (?P<punct>[().,\[\]])
     | (?P<quoted>"(?:[^"\\\n]|\\.)*")
-    | (?P<word>[A-Za-z0-9_]+)
+    | (?P<word>[{_WORD_CHARS}]+)
     | (?P<bad>.)
     """,
     re.VERBOSE,
+)
+
+# Whitespace and comments between two tokens. A comment must run to the end
+# of its line, as the scanner reads it, so the gap matches in one way only
+# and a failed match backtracks in linear time.
+GAP = re.compile(rf"\s*(?:{_COMMENT}(?![^\n])\s*)*")
+
+# One item of instance text after a gap: a section header (group 1) or a fact
+# `rel(c1,...,ck).` with its relation name (group 2) and its plain-word
+# arguments joined by bare commas (group 3). A fact with a gap or a quoted
+# constant inside matches neither, and is left to the scanner.
+FACT = re.compile(
+    rf"{GAP.pattern}(?:\[(endogenous|exogenous)\]"
+    rf"|([A-Za-z][{_WORD_CHARS}]*)\(({_BARE}(?:,{_BARE})*)\)\.)"
 )
 
 

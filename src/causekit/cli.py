@@ -150,7 +150,7 @@ def non_negative_int(text: str) -> int:
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", newline="") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise CausekitError(f"{path}: not valid UTF-8 (byte {exc.start})") from None

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping
 
-from ._scan import TokenStream, is_constant_word, parse_atom, unquote
+from ._scan import FACT, GAP, TokenStream, is_constant_word, parse_atom, unquote
 from .errors import CausekitError
 
 _PLAIN_CONSTANT = re.compile(r"[a-z0-9][A-Za-z0-9_]*\Z")
@@ -117,7 +117,44 @@ def parse_instance(text: str) -> Instance:
     Facts before any header are endogenous. Duplicates within a section are
     collapsed silently; the same fact in both sections is an error, as is an
     arity conflict for a relation.
+
+    The text is read one header or whole fact per match of `_scan.FACT`,
+    which takes facts of plain words with no gaps inside, as
+    `serialize_instance` writes them. Any other text (a quoted constant or a
+    gap inside a fact, an error, an arity conflict, a fact in both sections)
+    is read again token by token, and that reader raises the ParseError; on
+    text both accept they agree.
     """
+    instance = _read_facts(text)
+    return _parse_tokens(text) if instance is None else instance
+
+
+def _read_facts(text: str) -> Instance | None:
+    """The instance, or None where `_parse_tokens` has to read the text."""
+    endo: set[GroundTuple] = set()
+    exo: set[GroundTuple] = set()
+    target = endo
+    spelling: dict[str, str] = {}
+    match, pos = FACT.match, 0
+    while m := match(text, pos):
+        pos = m.end()
+        section, rel, args = m.groups()
+        if section:
+            target = endo if section == "endogenous" else exo
+            continue
+        relation = rel.lower()
+        spelling.setdefault(relation, rel)
+        target.add(GroundTuple(relation, tuple(args.split(","))))
+    if not GAP.fullmatch(text, pos):
+        return None
+    try:
+        return Instance(frozenset(endo), frozenset(exo), spelling)
+    except CausekitError:  # an arity conflict or a fact in both sections
+        return None
+
+
+def _parse_tokens(text: str) -> Instance:
+    """Read instance text token by token; the reader that raises ParseError."""
     stream = TokenStream(text)
     section_endo = True
     endo: set[GroundTuple] = set()

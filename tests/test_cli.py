@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from causekit import GroundTuple, Instance, canonical_sort
+from causekit import GroundTuple, Instance, canonical_sort, serialize_instance
 from causekit.cli import _render_repairs, main
 
 from fixtures import CHAIN_DB, CHAIN_Q, PQR_DB, PQR_DCS, TRIO_SPLIT_DB, M8_DB, M8_Q
@@ -223,6 +223,26 @@ def test_non_utf8_input_exits_one(files, tmp_path, capsys):
     code, out, err = run(capsys, "causes", "--instance", str(bad), "--query", files["chain.q"])
     assert code == 1 and out == ""
     assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_carriage_return_in_a_file_is_read_as_written(tmp_path, capsys):
+    # Only "\n" ends a line: the CLI hands a file's text to the parser unchanged.
+    t = GroundTuple("s", ("a\rb",))
+    db = tmp_path / "cr.db"
+    db.write_bytes(serialize_instance(Instance(frozenset([t]), frozenset())).encode())
+    query = tmp_path / "s.q"
+    query.write_text("q :- s(X).")
+    code, out, err = run(capsys, "causes", "--instance", str(db), "--query", str(query), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"causes": [str(t)]}
+
+
+def test_parse_error_position_counts_a_carriage_return_as_a_column(files, tmp_path, capsys):
+    db = tmp_path / "cr.db"
+    db.write_bytes(b"p(a).\rq(b!).")
+    code, out, err = run(capsys, "causes", "--instance", str(db), "--query", files["chain.q"])
+    assert (code, out) == (1, "")
+    assert "line 1, column 10: unexpected character '!'" in err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Instance parsing, serialization, and canonical ordering."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from causekit import (
     CausekitError,
@@ -9,6 +9,7 @@ from causekit import (
     Instance,
     ParseError,
     canonical_sort,
+    model,
     parse_fact,
     parse_instance,
     serialize_instance,
@@ -167,3 +168,99 @@ def test_serialize_rejects_facts_without_a_text_form(fact):
     with pytest.raises(CausekitError, match="has no form in the instance format") as err:
         serialize_instance(Instance(frozenset(), frozenset([fact])))
     assert repr(fact.args) in str(err.value)
+
+
+_ARITY = {"p": 1, "q": 2, "r_1": 3}
+_SPACE = st.sampled_from([" ", "\t", "\r\n", "\n", "\xa0"])
+_COMMENT = st.text(alphabet='a %,."()\\\r', max_size=5).map(lambda body: f"%{body}\n")
+_gaps = st.lists(_SPACE | _COMMENT, max_size=2).map("".join)
+_PLAIN = ["a", "b0", "aB_", "7"]
+_pool = st.sampled_from(_PLAIN + ["", "a,b", "%", '"', "\\", 'x"%,\\', "a b", "a\rb", "\xa0"])
+
+
+@st.composite
+def _instance_texts(draw, tight=None):
+    """Instance text and the instance it holds. A loose text has a gap between
+    every two tokens and quoted constants; a tight one has gaps only between
+    headers and facts, and plain constants only."""
+    if tight is None:
+        tight = draw(st.booleans())
+
+    def gap(inner=False):
+        return "" if tight and inner else draw(_gaps)
+
+    parts = [gap()]
+    endo, exo, spelling = set(), set(), {}
+    target, other = endo, exo
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 3)) == 0:
+            section = draw(st.sampled_from(["endogenous", "exogenous"]))
+            target, other = (endo, exo) if section == "endogenous" else (exo, endo)
+            parts += ["[", gap(True), section, gap(True), "]", gap()]
+            continue
+        relation = draw(st.sampled_from(sorted(_ARITY)))
+        pool = st.sampled_from(_PLAIN) if tight else _pool
+        fact = GroundTuple(relation, tuple(draw(pool) for _ in range(_ARITY[relation])))
+        if fact in other:
+            continue
+        target.add(fact)
+        rel = "".join(c.upper() if draw(st.booleans()) else c for c in relation)
+        spelling.setdefault(relation, rel)
+        args = []
+        for a in fact.args:
+            written = model.format_constant(a)
+            args.append(f'"{a}"' if written == a and not tight and draw(st.booleans()) else written)
+        comma = f"{gap(True)},{gap(True)}"
+        parts += [rel, gap(True), "(", gap(True), comma.join(args), gap(True), ")", gap(True), ".", gap()]
+    return "".join(parts), Instance(frozenset(endo), frozenset(exo), spelling)
+
+
+@given(_instance_texts())
+def test_both_readers_read_the_generated_facts(case):
+    text, expected = case
+    for read in (parse_instance, model._parse_tokens):
+        instance = read(text)
+        assert instance == expected and instance.spelling == expected.spelling
+
+
+@given(_instance_texts(tight=True))
+def test_fact_reader_reads_plain_facts_itself(case):
+    text, expected = case
+    instance = model._read_facts(text)
+    assert instance == expected and instance.spelling == expected.spelling
+
+
+def _outcome(read, text):
+    try:
+        instance = read(text)
+    except ParseError as err:
+        return str(err), err.line, err.column
+    return instance, instance.spelling
+
+
+_EDIT_CHARS = 'pA1(),.[]%"\\ \n\r!é'
+
+
+def _edits(text, at, char, edit):
+    """`text` with `char` inserted (+) or put in place (=) at `at`, or with the
+    character there deleted (-)."""
+    return text[:at] + ("" if edit == "-" else char) + text[at + (edit != "+"):]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instance_texts(), st.integers(0), st.sampled_from(_EDIT_CHARS), st.sampled_from("+-="))
+def test_an_edit_reads_the_same_through_both_readers(case, at, char, edit):
+    # The fact reader must never accept what the token reader rejects, nor
+    # read it differently.
+    text = case[0]
+    edited = _edits(text, at % (len(text) + 1), char, edit)
+    assert _outcome(parse_instance, edited) == _outcome(model._parse_tokens, edited)
+
+
+@pytest.mark.parametrize("text", ["p(a).Q(b,c).\n[exogenous] r_1(a,b,c).", '% x\n[endogenous]p("a").\tP( b ).'])
+def test_every_edit_of_a_small_text_reads_the_same(text):
+    for at in range(len(text) + 1):
+        for char in _EDIT_CHARS:
+            for edit in "+-=":
+                edited = _edits(text, at, char, edit)
+                assert _outcome(parse_instance, edited) == _outcome(model._parse_tokens, edited), edited

@@ -39,6 +39,13 @@ CASES = [
     (INSTANCE, "p(a).\nq(a, X).", 2, 6, "expected a constant (lower-case/digit word or quoted string)"),
     (FACT, "p(a,\n  B)", 2, 3, "expected a constant (lower-case/digit word or quoted string)"),
     (FACT, "p(a). q(b)", 1, 7, "unexpected input after fact"),
+    # The fact reader refuses part-way: the token reader still reports a bad
+    # character before an earlier semantic error, and at the same position.
+    (INSTANCE, "p(a). p(a,b).\nq(c).\nq(d!).", 3, 4, "unexpected character '!'"),
+    (INSTANCE, "".join(f"p(a{i},b).\n" for i in range(300)) + "p(a).", 301, 1,
+     "arity conflict for relation 'p': 2 vs 1"),
+    (INSTANCE, "[exogenous]\np(a).\n[endogenous]\nq(b).\n[exogenous]\nq(c).\n[endogenous]\n  P(a).", 8, 3,
+     "fact p(a) appears in both partitions"),
     # query.py
     (PROGRAM, "q :- p(X).\n  1 :- s(X).", 2, 3, "expected a rule head or ':-', found '1'"),
     (PROGRAM, "q :- p(X).\n  R :- s(X).", 2, 3,
