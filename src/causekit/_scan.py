@@ -19,10 +19,11 @@ from typing import Callable, NamedTuple
 
 from .errors import ParseError
 
-# The grammar's pieces, shared by `_TOKEN` and the fact reader's `FACT`.
+# The grammar's pieces, shared by `_TOKEN`, `FACT` and the serializer in `model`.
 _WORD_CHARS = "A-Za-z0-9_"
 _COMMENT = r"%[^\n]*"
-_BARE = rf"[a-z0-9][{_WORD_CHARS}]*"  # a word that is a constant
+BARE = rf"[a-z0-9][{_WORD_CHARS}]*"  # a word that is a constant
+NAME = rf"[A-Za-z][{_WORD_CHARS}]*"  # a relation name as spelled; lower-cased when read
 
 # Whitespace and comments match no named group. 'word' covers relation names,
 # variables, and unquoted constants; the parsers classify them by their first
@@ -51,7 +52,7 @@ GAP = re.compile(rf"\s*(?:{_COMMENT}(?![^\n])\s*)*")
 # constant inside matches neither, and is left to the scanner.
 FACT = re.compile(
     rf"{GAP.pattern}(?:\[(endogenous|exogenous)\]"
-    rf"|([A-Za-z][{_WORD_CHARS}]*)\(({_BARE}(?:,{_BARE})*)\)\.)"
+    rf"|({NAME})\(({BARE}(?:,{BARE})*)\)\.)"
 )
 
 

@@ -16,6 +16,7 @@ from .errors import CausekitError
 from .hitset import (
     Hypergraph,
     exists_hs_within,
+    in_minimum_hs,
     min_hs_size,
     min_hs_size_containing,
     minimal_hitting_sets,
@@ -82,18 +83,16 @@ def most_responsible(instance: Instance, q: UCQ) -> frozenset[GroundTuple]:
     A cause is most responsible exactly when some minimal hitting set of
     the overall minimum size passes through it.
     """
-    return _most_responsible(instance, q)[0]
+    return _most_responsible(hitting_framework(instance, q))[0]
 
 
-def _most_responsible(instance: Instance, q: UCQ) -> tuple[frozenset[GroundTuple], int]:
-    """The most responsible causes and the minimum hitting-set size k, so
-    each of them has responsibility 1/k; k is 0 when there are no causes."""
-    framework = hitting_framework(instance, q)
+def _most_responsible(framework: Optional[Hypergraph]) -> tuple[frozenset, int]:
+    """The vertices that some minimum hitting set of the framework contains,
+    and its size k: each has responsibility 1/k; k is 0 when there are none."""
     if framework is None or not framework.edges:
         return frozenset(), 0
-    best = min_hs_size(framework)
     candidates = {t for e in framework.edges for t in e}
-    return frozenset(t for t in candidates if exists_hs_within(framework, best, forced=t)), best
+    return frozenset(t for t in candidates if in_minimum_hs(framework, t)), min_hs_size(framework)
 
 
 def decide_rpd(instance: Instance, q: UCQ, t: GroundTuple, v: Fraction) -> bool:
@@ -118,7 +117,7 @@ def decide_mrcd(instance: Instance, q: UCQ, t: GroundTuple) -> bool:
     """Decide whether t is a cause of maximal responsibility."""
     _require_endogenous(instance, t)
     framework = hitting_framework(instance, q)
-    return framework is not None and exists_hs_within(framework, min_hs_size(framework), forced=t)
+    return framework is not None and in_minimum_hs(framework, t)
 
 
 @dataclass(frozen=True)

@@ -260,7 +260,7 @@ def _cmd_contingency(args):
 
 def _cmd_mrc(args):
     instance, q = _load_query(args)
-    top, best = causal._most_responsible(instance, q)
+    top, best = causal._most_responsible(causal.hitting_framework(instance, q))
     rho = Fraction(1, best) if best else Fraction(0)
     names = _tuple_list(top)
     return names, {"most_responsible": names, "responsibility": _fraction_str(rho)}
@@ -329,14 +329,14 @@ def _cmd_encode_graph(args):
 
 
 def _parse_graph(text: str) -> tuple[list[str], list[tuple[str, str]]]:
-    """One edge per line as `u v`; a lone label is an isolated vertex."""
+    """One edge per line as `u v`; a lone label is an isolated vertex. As in
+    instance text, only "\n" ends a line and a comment runs from `%` to it."""
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.split("%", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) == 1:
             vertices.append(parts[0])
         elif len(parts) == 2:

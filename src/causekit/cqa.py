@@ -2,19 +2,20 @@
 
 A ground conjunction holds in every subset repair exactly when none of its
 atoms is an actual cause for the violation view; under cardinality repairs,
-when none is a most responsible cause. Only projection-free, fully ground
-queries are supported.
+when none is a most responsible cause. Both are read off the violation
+hypergraph that the repairs hit. Only projection-free, fully ground queries
+are supported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .causal import actual_causes, most_responsible
+from .causal import _most_responsible
 from .errors import CausekitError
 from .model import GroundTuple, Instance
-from .query import DenialConstraint, dcs_to_ucq
-from .repair import check_semantics
+from .query import DenialConstraint
+from .repair import _violations, check_semantics
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,6 @@ def consistent_answer(
     instance simply make the answer false.
     """
     semantics = check_semantics(semantics)
-    view = instance.all_endogenous()
-    violation = dcs_to_ucq(constraints)
-    if semantics == "s":
-        excluded = actual_causes(view, violation)
-    else:
-        excluded = most_responsible(view, violation)
-    facts = view.endo
-    return all(a in facts and a not in excluded for a in g.atoms)
+    violations = _violations(instance, constraints)
+    excluded = frozenset().union(*violations.edges) if semantics == "s" else _most_responsible(violations)[0]
+    return all(a in violations.vertices and a not in excluded for a in g.atoms)

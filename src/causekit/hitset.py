@@ -130,6 +130,13 @@ def exists_hs_within(h: Hypergraph, k: int, forced: Optional[Vertex] = None) -> 
     return k >= 0 and (own is None or bool(next(own.search(bit, k), 0)))
 
 
+def in_minimum_hs(h: Hypergraph, t: Vertex) -> bool:
+    """Decide whether some minimum hitting set contains t. A minimum is one per
+    component, so t's component alone is searched, from t within its minimum."""
+    bit, own = _locate(h, t)
+    return own is not None and bool(next(own.search(bit, own.minimum), 0))
+
+
 def min_hs_size(h: Hypergraph) -> int:
     """Size of a minimum hitting set; 0 when there are no edges."""
     return sum(c.minimum for c in h._split[3])

@@ -13,12 +13,11 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping
 
-from ._scan import FACT, GAP, TokenStream, is_constant_word, parse_atom, unquote
+from ._scan import BARE, FACT, GAP, NAME, TokenStream, is_constant_word, parse_atom, unquote
 from .errors import CausekitError
 
-_PLAIN_CONSTANT = re.compile(r"[a-z0-9][A-Za-z0-9_]*\Z")
-_RELATION = re.compile(r"[a-z][a-z0-9_]*\Z")
-_SPELLING = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_PLAIN_CONSTANT = re.compile(rf"{BARE}\Z")
+_SPELLING = re.compile(rf"{NAME}\Z")
 
 
 def format_constant(symbol: str) -> str:
@@ -219,7 +218,8 @@ def serialize_instance(instance: Instance) -> str:
 
     def emit(tuples: frozenset[GroundTuple]) -> None:
         for t in canonical_sort(tuples):
-            if not (_RELATION.match(t.relation) and t.args) or any("\n" in a for a in t.args):
+            relation_ok = _SPELLING.match(t.relation) and t.relation.lower() == t.relation
+            if not (relation_ok and t.args) or any("\n" in a for a in t.args):
                 raise CausekitError(f"fact {t.relation!r}{t.args!r} has no form in the instance format")
             rel = instance.spelling.get(t.relation, t.relation)
             rel = rel if _SPELLING.match(rel) and rel.lower() == t.relation else t.relation

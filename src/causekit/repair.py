@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 from .causal import _require_endogenous, hitting_framework
 from .errors import CausekitError
-from .hitset import Hypergraph, exists_hs_within, min_hs_size, minimal_hitting_sets
+from .hitset import Hypergraph, exists_hs_within, in_minimum_hs, minimal_hitting_sets
 from .model import GroundTuple, Instance
 from .query import DenialConstraint, dcs_to_ucq
 
@@ -77,7 +77,7 @@ def difference_sets(
     semantics = check_semantics(semantics)
     _require_endogenous(instance, t)
     violations = _violations(instance, [constraint])
-    if semantics == "c" and not exists_hs_within(violations, min_hs_size(violations), forced=t):
+    if semantics == "c" and not in_minimum_hs(violations, t):
         return []
     removals = minimal_hitting_sets(violations, forced=t, least=semantics == "c")
     return [r for r in removals if r <= instance.endo]

@@ -132,14 +132,10 @@ def evaluate(q: UCQ, instance: Instance) -> bool:
 
 
 def support_family(q: UCQ, instance: Instance) -> SupportFamily:
-    """All minimal subsets of the instance satisfying some disjunct.
-
-    Enumerates every homomorphism per disjunct, takes the image tuple-sets,
-    and discards any image that strictly contains another.
-    """
-    images = set().union(*(_images(d, instance, stop_early=False) for d in q.disjuncts))
-    sets = sorted(minimal_sets(images), key=set_key)
-    return SupportFamily(base=instance.tuples, sets=tuple(sets))
+    """All minimal subsets of the instance satisfying some disjunct: the
+    endogenous support of the view where every tuple is endogenous, which
+    is never vacuous (no image is empty)."""
+    return endogenous_support(q, instance.all_endogenous())
 
 
 def endogenous_support(q: UCQ, instance: Instance) -> SupportFamily:

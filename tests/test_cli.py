@@ -169,6 +169,20 @@ def test_encode_graph(files, capsys):
     assert payload["query"].startswith("q :- ver(")
 
 
+# Only "\n" ends a line of a graph file, as in instance and rule text; any other
+# line break inside a comment belongs to the comment.
+@pytest.mark.parametrize(
+    "text", ["u v % note\fw x y", "u v % note\u2028w x y\n", "% u v w\r\nu v\r\n"],
+    ids=["form-feed", "line-separator", "crlf"],
+)
+def test_graph_file_lines_end_only_at_newline(files, tmp_path, capsys, text):
+    path = tmp_path / "other.txt"
+    path.write_bytes(text.encode("utf-8"))
+    expected = run(capsys, "encode-graph", "--graph", files["graph.txt"], "--vertex", "u")
+    assert expected[0] == 0
+    assert run(capsys, "encode-graph", "--graph", str(path), "--vertex", "u") == expected
+
+
 def test_oracle_subcommands(files, capsys):
     code, out, _ = run(
         capsys, "oracle", "responsibility", "--instance", files["chain.db"],

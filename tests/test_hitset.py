@@ -17,6 +17,7 @@ from causekit import (
     minimal_hitting_sets,
 )
 from causekit import oracle
+from causekit.hitset import in_minimum_hs
 
 
 def hg(*edges, vertices=()):
@@ -211,6 +212,9 @@ def test_bounded_decision_matches_forced_minimum(edges, k, forced):
         assert exists_hs_within(h, k, forced=forced) == (minimum <= k)
     else:
         assert not exists_hs_within(h, k, forced=forced)
+    in_minimum = in_minimum_hs(h, forced)
+    assert in_minimum == exists_hs_within(h, min_hs_size(h), forced=forced)
+    assert in_minimum == (minimum == min_hs_size(h))
 
 
 def _edges_over(alphabet):
@@ -229,6 +233,7 @@ def test_disjoint_union_factors(left_edges, right_edges, data):
     own = min_hs_size_containing(left, t)
     expected = None if own is None else own + min_hs_size(right)
     assert min_hs_size_containing(union, t) == expected
+    assert in_minimum_hs(union, t) == in_minimum_hs(left, t)
     counts = len(minimal_hitting_sets(left)) * len(minimal_hitting_sets(right))
     assert len(minimal_hitting_sets(union)) == counts
 
