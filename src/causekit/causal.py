@@ -35,7 +35,8 @@ def hitting_framework(instance: Instance, q: UCQ) -> Optional[Hypergraph]:
     family = endogenous_support(q, instance)
     if family.vacuous:
         return None
-    return Hypergraph.build(instance.endo, family.sets)
+    # The family is canonically sorted, nonempty and inside endo: no re-sort.
+    return Hypergraph(instance.endo, family.sets, max(map(len, family.sets), default=0))
 
 
 def actual_causes(instance: Instance, q: UCQ) -> frozenset[GroundTuple]:

@@ -122,11 +122,15 @@ def exists_hs_within(h: Hypergraph, k: int, forced: Optional[Vertex] = None) -> 
     """Decide whether a hitting set of size at most k exists; with `forced`
     given, whether a minimal one (not one merely padded with it) passes through
     it. Its component is searched once, within the budget the other components'
-    minima leave; its exact minimum is never computed."""
+    minima leave; its exact minimum is never computed. Another component's
+    minimum is searched for only up to the budget left, and kept once found."""
     bit, own = _locate(h, forced)
     if forced is not None and own is None:
         return False
-    k -= sum(c.minimum for c in h._split[3] if c is not own)
+    for c in (c for c in h._split[3] if c is not own):
+        if (least := vars(c).get("minimum") or c.least(0, cap=k)) is None:
+            return False
+        c.minimum, k = least, k - least
     return k >= 0 and (own is None or bool(next(own.search(bit, k), 0)))
 
 
@@ -172,11 +176,12 @@ class _Component:
         """The size of a minimum hitting set of this component, found once."""
         return self.least(0)
 
-    def least(self, chosen: int) -> Optional[int]:
-        """The least size of a minimal hitting set through `chosen`, or None.
-        The budget doubles from 1 until a search finds a set, then drops below
-        each set found until a search finds none."""
-        least, budget, cap = 0, 1, len(self.edges)
+    def least(self, chosen: int, cap: Optional[int] = None) -> Optional[int]:
+        """The least size of a minimal hitting set through `chosen`, or None
+        (also when it exceeds `cap`). The budget doubles from 1 until a search
+        finds a set, then drops below each set found until a search finds none."""
+        least, budget = 0, 1
+        cap = len(self.edges) if cap is None else min(cap, len(self.edges))
         while not least and budget < 2 * cap:
             least = next(self.search(chosen, min(budget, cap)), 0).bit_count()
             budget *= 2

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from ._scan import BARE, FACT, GAP, NAME, TokenStream, is_constant_word, parse_atom, unquote
 from .errors import CausekitError
@@ -28,13 +28,10 @@ def format_constant(symbol: str) -> str:
     return f'"{escaped}"'
 
 
-@dataclass(frozen=True, order=True)
-class GroundTuple:
-    """A ground fact: relation name plus a tuple of constant symbols.
-
-    Ordering is the canonical one used for all serialized output:
-    lexicographic by relation name, then by arguments left to right.
-    """
+class GroundTuple(NamedTuple):
+    """A ground fact, the plain tuple `(relation, args)`: hashing, equality and
+    the canonical order of all serialized output (lexicographic by relation
+    name, then by arguments left to right) are the tuple's own, run in C."""
 
     relation: str
     args: tuple[str, ...]

@@ -13,7 +13,9 @@ once, as unsorted lists. A step filters its atom's extension (semijoin)
 on each bound position, against the constant or the values the variable
 took in the step that bound it, hashes the survivors on their joined
 positions, and a depth-first run probes those tables. No table outlives
-the call: whole per-instance probe tables would raise peak memory.
+the call: whole per-instance probe tables would raise peak memory. The
+images are cut to their minimal members (`minimal_sets`) through an index
+that files each kept set under one of its members.
 """
 
 from __future__ import annotations
@@ -53,11 +55,16 @@ def set_key(s: frozenset) -> tuple:
 
 
 def minimal_sets(sets) -> list[frozenset]:
-    """The subset-minimal members of a collection, deduplicated."""
+    """The subset-minimal members of a collection, deduplicated, shortest first.
+    A candidate is tested only against the kept sets filed under its members."""
     kept: list[frozenset] = []
+    filed: dict = {}
     for s in sorted(sets, key=len):
-        if not any(k <= s for k in kept):
+        if not s:
+            return [s]
+        if not any(k <= s for v in s for k in filed.get(v, ())):
             kept.append(s)
+            filed.setdefault(next(iter(s)), []).append(s)
     return kept
 
 

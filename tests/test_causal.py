@@ -8,6 +8,7 @@ import pytest
 from causekit import (
     UCQ,
     CausekitError,
+    Hypergraph,
     Instance,
     ResourceLimitError,
     actual_causes,
@@ -16,7 +17,9 @@ from causekit import (
     decide_mrcd,
     decide_rpd,
     encode_graph,
+    endogenous_support,
     evaluate,
+    hitting_framework,
     minimal_contingencies,
     most_responsible,
     responsibility,
@@ -275,3 +278,17 @@ def test_encode_graph_matches_brute_force_cover():
         rho = responsibility(instance, UCQ((disjunct,)), t)
         best = oracle.min_hs(verts, [frozenset(e) for e in edges], forced=v, essential=True)
         assert rho == Fraction(1, best)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_framework_equals_the_sorting_constructor(seed):
+    # Few constants, so that many images join and families have several sets.
+    rng = random.Random(3500 + seed)
+    instance, q = random_instance(rng, constants=("c0", "c1", "c2")), random_ucq(rng)
+    family = endogenous_support(q, instance)
+    h = hitting_framework(instance, q)
+    if family.vacuous:
+        assert h is None
+        return
+    built = Hypergraph.build(instance.endo, family.sets)
+    assert (h.vertices, h.edges, h.bound) == (built.vertices, built.edges, built.bound)

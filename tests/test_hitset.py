@@ -283,3 +283,47 @@ def test_extension_matches_brute_force_on_random_graphs():
         v = rng.choice(endpoints)
         exts = extend_for_vertex(g, v)
         assert min(min_hs_size(e) for e in exts) == brute_min_vc(g, must_contain=v)
+
+
+def _disjoint_groups(rng):
+    """Up to four groups of edges over disjoint alphabets, plus a vertex in no edge."""
+    vertices, edges = {"iso"}, []
+    for c in range(rng.randint(1, 4)):
+        alphabet = [f"{c}{x}" for x in "abcdef"[: rng.randint(1, 6)]]
+        vertices |= set(alphabet)
+        for _ in range(rng.randint(0, 5)):
+            edges.append(frozenset(rng.sample(alphabet, rng.randint(1, min(3, len(alphabet))))))
+    return vertices, edges
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_bounded_decision_matches_exact_sizes_across_components(seed):
+    # Each decision finds the other components' minima only up to its budget,
+    # and keeps those it finds; a sequence of decisions on one hypergraph must
+    # agree with the exact sizes of a fresh one.
+    rng = random.Random(3600 + seed)
+    vertices, edges = _disjoint_groups(rng)
+    exact = Hypergraph.build(vertices, edges)
+    minimum = min_hs_size(exact)
+    through = {t: min_hs_size_containing(exact, t) for t in sorted(vertices)}
+    h = Hypergraph.build(vertices, edges)
+    for _ in range(12):
+        k = rng.randint(-1, minimum + 2)
+        t = rng.choice([None, *sorted(vertices)])
+        expected = minimum <= k if t is None else through[t] is not None and through[t] <= k
+        assert exists_hs_within(h, k, forced=t) == expected, (k, t)
+    assert min_hs_size(h) == minimum
+    assert all(min_hs_size_containing(h, t) == m for t, m in through.items())
+
+
+def test_bounded_decision_beside_a_hard_component():
+    # t's component is the edge {t, u}. Beside it, a random 3-uniform
+    # component over 40 vertices, held together by a path, needs at least 20
+    # vertices (a path on 40 vertices does), so no budget of 3 suffices.
+    rng = random.Random(15)
+    vs = [f"v{i}" for i in range(40)]
+    edges = {frozenset(rng.sample(vs, 3)) for _ in range(80)}
+    edges |= {frozenset(pair) for pair in zip(vs, vs[1:])}
+    h = hg(*edges, {"t", "u"})
+    assert not exists_hs_within(h, 3, forced="t")
+    assert not exists_hs_within(h, 3)

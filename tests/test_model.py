@@ -1,5 +1,8 @@
 """Instance parsing, serialization, and canonical ordering."""
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -264,3 +267,31 @@ def test_every_edit_of_a_small_text_reads_the_same(text):
             for edit in "+-=":
                 edited = _edits(text, at, char, edit)
                 assert _outcome(parse_instance, edited) == _outcome(model._parse_tokens, edited), edited
+
+
+def test_ground_tuple_is_a_plain_tuple_pair():
+    t = GroundTuple("p", ("a",))
+    assert t == ("p", ("a",)) and len(t) == 2 and isinstance(t, tuple)
+    assert list(t) == ["p", ("a",)]
+    assert hash(t) == hash((t.relation, t.args))
+    assert str(t) == repr(t) == "p(a)"
+    assert str(GroundTuple("r", ("a b", 'x"y'))) == 'r("a b","x\\"y")'
+
+
+def test_ground_tuple_order_is_relation_then_args():
+    rng = random.Random(17)
+    facts = [
+        GroundTuple(rng.choice("pqr"), tuple(rng.choice(["a", "b", "a1", "B"]) for _ in range(rng.randint(1, 3))))
+        for _ in range(60)
+    ]
+    assert canonical_sort(facts) == sorted(facts, key=lambda t: (t.relation, t.args))
+
+
+def test_ground_tuple_pickles_and_is_immutable():
+    t = GroundTuple("q", ("a", "b"))
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and type(back) is GroundTuple and hash(back) == hash(t)
+    with pytest.raises(AttributeError):
+        t.relation = "r"
+    with pytest.raises(AttributeError):
+        t.extra = 1

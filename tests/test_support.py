@@ -17,6 +17,7 @@ from causekit import (
     parse_instance,
     support_family,
 )
+from causekit.support import minimal_sets
 
 from fixtures import CHAIN_DB, CHAIN_Q, PQR_DB, PQR_UCQ, PQR_SPLIT_DB, SELFJOIN_DB, SELFJOIN_Q, fs, inst, ucq
 from randgen import random_instance, random_ucq
@@ -251,3 +252,26 @@ def test_evaluate_agrees_with_family_at_scale(seed, query):
     for instance in (full, no_s, one_block):
         assert evaluate(q, instance) == bool(support_family(q, instance).sets)
     assert evaluate(q, full) and not evaluate(q, no_s)
+
+
+def _naive_minimal(sets):
+    """The quadratic filter, shortest first: the first copy of each set that
+    no other set lies strictly inside."""
+    ordered = sorted(sets, key=len)
+    return [s for i, s in enumerate(ordered) if s not in ordered[:i] and not any(o < s for o in ordered)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_minimal_sets_matches_the_naive_filter(seed):
+    rng = random.Random(3400 + seed)
+    universe = "abcdefgh"[: rng.randint(2, 8)]
+    sets = [frozenset(rng.sample(universe, rng.randint(1, min(4, len(universe))))) for _ in range(rng.randint(0, 25))]
+    sets += [rng.choice(sets) for _ in range(rng.randint(0, 5))] if sets else []  # duplicates
+    sets += [s - {rng.choice(sorted(s))} or s for s in rng.sample(sets, len(sets) // 3)]  # subsets
+    rng.shuffle(sets)
+    assert minimal_sets(sets) == _naive_minimal(sets)
+
+
+def test_minimal_sets_empty_set_dominates():
+    assert minimal_sets([frozenset("ab"), frozenset(), frozenset("c"), frozenset()]) == [frozenset()]
+    assert minimal_sets([]) == []
