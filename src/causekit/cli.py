@@ -192,7 +192,7 @@ def _load_query(args, view=_as_ucq) -> tuple[Instance, object]:
 
 # --- rendering ---------------------------------------------------------------
 # One renderer per answer shape, shared by a production handler and its oracle
-# twin: (text lines, JSON payload), the lines joined from the payload's strings.
+# twin: (text lines, JSON payload), the lines joined lazily from the payload's.
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -201,6 +201,12 @@ def _fraction_str(value: Fraction) -> str:
 
 def _tuple_list(tuples) -> list[str]:
     return [str(t) for t in canonical_sort(tuples)]
+
+
+def _named_lists(sets) -> list[list[str]]:
+    """Each set's member names in canonical order, each distinct tuple named once."""
+    name = {t: str(t) for t in set().union(*sets)}
+    return [[name[t] for t in canonical_sort(s)] for s in sets]
 
 
 def _braces(names: list[str]) -> str:
@@ -217,8 +223,8 @@ def _render_responsibility(t, rho):
 
 
 def _render_contingencies(t, sets):
-    lists = [_tuple_list(s) for s in sets]
-    return [_braces(names) for names in lists], {"tuple": str(t), "contingencies": lists}
+    lists = _named_lists(sets)
+    return map(_braces, lists), {"tuple": str(t), "contingencies": lists}
 
 
 def _render_repairs(instance, semantics, removals):
@@ -226,15 +232,14 @@ def _render_repairs(instance, semantics, removals):
     removed positions out of one canonically ordered list of tuple names."""
     position = {t: i for i, t in enumerate(canonical_sort(instance.tuples))}
     names = [str(t) for t in position]
-    lines, repairs = [], []
+    repairs = []
     for removed in removals:
         cut = sorted(position[t] for t in removed)
-        removed_names = [names[i] for i in cut]
         kept_names = names.copy()
         for i in reversed(cut):
             del kept_names[i]
-        lines.append(f"removed: {_braces(removed_names)} kept: {_braces(kept_names)}")
-        repairs.append({"kept": kept_names, "removed": removed_names})
+        repairs.append({"kept": kept_names, "removed": [names[i] for i in cut]})
+    lines = (f"removed: {_braces(r['removed'])} kept: {_braces(r['kept'])}" for r in repairs)
     return lines, {"semantics": semantics, "repairs": repairs}
 
 
@@ -306,11 +311,11 @@ def _cmd_diagnose(args):
     problem = diagnosis.build(instance, q)
     t = parse_fact(args.tuple) if args.tuple else None
     found = diagnosis.diagnoses(problem, t, args.minimality)
-    deltas = [_tuple_list(d.delta) for d in found]
+    deltas = _named_lists([d.delta for d in found])
     payload = {"minimality": args.minimality, "diagnoses": deltas}
     if t is not None:
         payload = {"tuple": str(t), **payload}
-    return [_braces(names) for names in deltas], payload
+    return map(_braces, deltas), payload
 
 
 def _cmd_emit_theory(args):

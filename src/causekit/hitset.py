@@ -8,8 +8,9 @@ edge left (one the set hits only there), and stops at a size budget. Each
 hypergraph is split once, each component finds its minimum once, and a
 question through one vertex (`forced`) searches its component from it. The
 least-size sets (`least`) come from the same search, budgeted at each
-component's least size. Vertices must be hashable and totally ordered; output is
-canonically sorted.
+component's least size. A greedy packing of pairwise disjoint edges bounds it
+from below (`floor`): searches start there, and decisions it settles run none.
+Vertices must be hashable and totally ordered; output is canonically sorted.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ class Hypergraph:
             ids = [index.setdefault(v, len(index)) for v in e]
             parent.extend(range(len(parent), len(index)))
             masks.append(sum(1 << i for i in ids))
+            first = root(ids[0])
             for i in ids:
-                parent[root(i)] = root(ids[0])
+                parent[root(i)] = first
                 incidence.setdefault(1 << i, []).append(masks[-1])
         groups: dict = {}
         for mask in masks:
@@ -123,11 +125,16 @@ def exists_hs_within(h: Hypergraph, k: int, forced: Optional[Vertex] = None) -> 
     given, whether a minimal one (not one merely padded with it) passes through
     it. Its component is searched once, within the budget the other components'
     minima leave; its exact minimum is never computed. Another component's
-    minimum is searched for only up to the budget left, and kept once found."""
+    minimum is searched for only up to the budget left, and kept once found.
+    When the floors (or known minima) already exceed k, nothing is searched."""
     bit, own = _locate(h, forced)
     if forced is not None and own is None:
         return False
-    for c in (c for c in h._split[3] if c is not own):
+    others = [c for c in h._split[3] if c is not own]
+    floors = sum(vars(c).get("minimum") or c.floor(0) for c in others)
+    if floors + (own.floor(bit) if own else 0) > k:
+        return False
+    for c in others:
         if (least := vars(c).get("minimum") or c.least(0, cap=k)) is None:
             return False
         c.minimum, k = least, k - least
@@ -176,16 +183,29 @@ class _Component:
         """The size of a minimum hitting set of this component, found once."""
         return self.least(0)
 
+    def floor(self, chosen: int) -> int:
+        """|chosen| plus a greedy packing of pairwise disjoint edges that miss
+        `chosen`: no hitting set through `chosen` is smaller."""
+        used, count = chosen, chosen.bit_count()
+        for e in self.edges:
+            if not e & used:
+                used, count = used | e, count + 1
+        return count
+
     def least(self, chosen: int, cap: Optional[int] = None) -> Optional[int]:
         """The least size of a minimal hitting set through `chosen`, or None
-        (also when it exceeds `cap`). The budget doubles from 1 until a search
-        finds a set, then drops below each set found until a search finds none."""
-        least, budget = 0, 1
+        (also when it exceeds `cap`). The budget doubles from the floor until a
+        search finds a set, then drops below each set found until one has the
+        floor's size or a search finds none."""
+        floor = self.floor(chosen)
         cap = len(self.edges) if cap is None else min(cap, len(self.edges))
+        if floor > cap:
+            return None
+        least, budget = 0, floor
         while not least and budget < 2 * cap:
             least = next(self.search(chosen, min(budget, cap)), 0).bit_count()
             budget *= 2
-        while least and (smaller := next(self.search(chosen, least - 1), 0)):
+        while least > floor and (smaller := next(self.search(chosen, least - 1), 0)):
             least = smaller.bit_count()
         return least or None
 

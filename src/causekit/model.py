@@ -140,7 +140,8 @@ def _read_facts(text: str) -> Instance | None:
             continue
         relation = rel.lower()
         spelling.setdefault(relation, rel)
-        target.add(GroundTuple(relation, tuple(args.split(","))))
+        # tuple.__new__ skips the NamedTuple's generated __new__, a Python function.
+        target.add(tuple.__new__(GroundTuple, (relation, tuple(args.split(",")))))
     if not GAP.fullmatch(text, pos):
         return None
     try:

@@ -14,13 +14,14 @@ on each bound position, against the constant or the values the variable
 took in the step that bound it, hashes the survivors on their joined
 positions, and a depth-first run probes those tables. No table outlives
 the call: whole per-instance probe tables would raise peak memory. The
-images are cut to their minimal members (`minimal_sets`) through an index
-that files each kept set under one of its members.
+images are cut to their minimal members (`minimal_sets`), each tested against
+the strictly shorter kept sets filed under its members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterator
 
@@ -56,15 +57,17 @@ def set_key(s: frozenset) -> tuple:
 
 def minimal_sets(sets) -> list[frozenset]:
     """The subset-minimal members of a collection, deduplicated, shortest first.
-    A candidate is tested only against the kept sets filed under its members."""
+    A candidate is tested only against the strictly shorter kept sets filed
+    under its members: distinct sets of one size never contain each other."""
     kept: list[frozenset] = []
     filed: dict = {}
-    for s in sorted(sets, key=len):
-        if not s:
-            return [s]
-        if not any(k <= s for v in s for k in filed.get(v, ())):
-            kept.append(s)
+    for size, group in groupby(sorted(dict.fromkeys(sets), key=len), key=len):
+        fresh = [s for s in group if not any(k <= s for v in s for k in filed.get(v, ()))]
+        if not size:
+            return fresh
+        for s in fresh:
             filed.setdefault(next(iter(s)), []).append(s)
+        kept += fresh
     return kept
 
 
@@ -153,7 +156,7 @@ def endogenous_support(q: UCQ, instance: Instance) -> SupportFamily:
     returned: there are no causes in that case.
     """
     images = set().union(*(_images(d, instance, stop_early=False) for d in q.disjuncts))
-    projections = {s & instance.endo for s in images}
+    projections = {s & instance.endo for s in images} if instance.exo else images
     if frozenset() in projections:
         return SupportFamily(base=instance.endo, sets=(), vacuous=True)
     sets = sorted(minimal_sets(projections), key=set_key)

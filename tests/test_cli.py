@@ -459,7 +459,7 @@ def test_render_repairs_matches_filtering_the_instance(facts, data):
         expected_lines.append("removed: {" + ", ".join(removed_names) + "} kept: {"
                               + ", ".join(kept_names) + "}")
         expected_repairs.append({"kept": kept_names, "removed": removed_names})
-    assert lines == expected_lines
+    assert list(lines) == expected_lines
     assert payload == {"semantics": semantics, "repairs": expected_repairs}
     for removed, repair in zip(removals, payload["repairs"]):
         assert not set(repair["kept"]) & set(repair["removed"])

@@ -17,7 +17,7 @@ from causekit import (
     minimal_hitting_sets,
 )
 from causekit import oracle
-from causekit.hitset import in_minimum_hs
+from causekit.hitset import _Component, in_minimum_hs
 
 
 def hg(*edges, vertices=()):
@@ -215,6 +215,61 @@ def test_bounded_decision_matches_forced_minimum(edges, k, forced):
     in_minimum = in_minimum_hs(h, forced)
     assert in_minimum == exists_hs_within(h, min_hs_size(h), forced=forced)
     assert in_minimum == (minimum == min_hs_size(h))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_edge, min_size=1, max_size=7))
+def test_packing_floor_bounds_every_least_size(edges):
+    h = Hypergraph.build(set().union(*edges), edges)
+    _, index, owner, components = h._split
+    assert sum(c.floor(0) for c in components) <= oracle.min_hs(h.vertices, h.edges)
+    assert all(c.floor(0) <= c.minimum for c in components)
+    for t in sorted(h.vertices):
+        own, bit = owner[index[t]], 1 << index[t]
+        through = oracle.min_hs(h.vertices, h.edges, forced=t, essential=True)
+        least = own.least(bit)
+        rest = sum(c.minimum for c in components if c is not own)
+        assert through == (None if least is None else least + rest)
+        assert least is None or own.floor(bit) <= least
+
+
+def _counted_searches(monkeypatch) -> list:
+    """The budgets of every `_Component.search` call from here on."""
+    budgets, search = [], _Component.search
+
+    def counted(self, chosen, budget):
+        budgets.append(budget)
+        return search(self, chosen, budget)
+
+    monkeypatch.setattr(_Component, "search", counted)
+    return budgets
+
+
+def test_a_minimum_at_its_floor_takes_one_search(monkeypatch):
+    budgets = _counted_searches(monkeypatch)
+    assert min_hs_size(hg({"a", "b", "c"})) == 1
+    assert budgets == [1]
+    # Two chain gadgets, one component each: the supports {s(x), r(x,y), s(y)}
+    # of an s-path x0..x3 plus a back edge from x2. Two disjoint edges pack
+    # each one, and {s(x1), s(x2)} covers it.
+    edges = []
+    for g in "uv":
+        s = [f"s({g}{i})" for i in range(4)]
+        edges += [{s[i], f"r({g}{i},{g}{i + 1})", s[i + 1]} for i in range(3)]
+        edges.append({s[2], f"r({g}2,{g}0)", s[0]})
+    budgets.clear()
+    assert min_hs_size(hg(*edges)) == 4
+    assert budgets == [2, 2]
+
+
+def test_bounded_decision_settled_by_floors_searches_nothing(monkeypatch):
+    # A path a..f packs three disjoint edges; t's edge {t, u} packs one more.
+    h = hg(*({x, y} for x, y in zip("abcde", "bcdef")), {"t", "u"})
+    budgets = _counted_searches(monkeypatch)
+    assert not exists_hs_within(h, 3, forced="t")
+    assert not exists_hs_within(h, 3)
+    assert budgets == []
+    assert exists_hs_within(h, 4, forced="t") and exists_hs_within(h, 4)
 
 
 def _edges_over(alphabet):

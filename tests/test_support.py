@@ -1,6 +1,7 @@
 """Query evaluation and support families."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -275,3 +276,14 @@ def test_minimal_sets_matches_the_naive_filter(seed):
 def test_minimal_sets_empty_set_dominates():
     assert minimal_sets([frozenset("ab"), frozenset(), frozenset("c"), frozenset()]) == [frozenset()]
     assert minimal_sets([]) == []
+
+
+def test_minimal_sets_with_many_sets_of_one_size():
+    # All 20 triples over six letters, some twice, a pair inside four of them
+    # and a quadruple over a triple: 16 triples and the pair are minimal.
+    triples = [frozenset(c) for c in combinations("abcdef", 3)]
+    sets = triples + triples[::3] + [frozenset("ab"), frozenset("abcd"), frozenset("ab")]
+    random.Random(17).shuffle(sets)
+    kept = minimal_sets(sets)
+    assert kept == _naive_minimal(sets)
+    assert len(kept) == 17 and kept[0] == frozenset("ab")
