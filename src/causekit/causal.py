@@ -90,7 +90,7 @@ def most_responsible(instance: Instance, q: UCQ) -> frozenset[GroundTuple]:
 def _most_responsible(framework: Optional[Hypergraph]) -> tuple[frozenset, int]:
     """The vertices that some minimum hitting set of the framework contains,
     and its size k: each has responsibility 1/k; k is 0 when there are none."""
-    if framework is None or not framework.edges:
+    if framework is None:
         return frozenset(), 0
     candidates = {t for e in framework.edges for t in e}
     return frozenset(t for t in candidates if in_minimum_hs(framework, t)), min_hs_size(framework)

@@ -9,7 +9,7 @@ hypergraph is split once, each component finds its minimum once, and a
 question through one vertex (`forced`) searches its component from it. The
 least-size sets (`least`) come from the same search, budgeted at each
 component's least size. A greedy packing of pairwise disjoint edges bounds it
-from below (`floor`): searches start there, and decisions it settles run none.
+from below (`floor`): budgets count up from it; decisions it settles run none.
 Vertices must be hashable and totally ordered; output is canonically sorted.
 """
 
@@ -125,20 +125,19 @@ def exists_hs_within(h: Hypergraph, k: int, forced: Optional[Vertex] = None) -> 
     given, whether a minimal one (not one merely padded with it) passes through
     it. Its component is searched once, within the budget the other components'
     minima leave; its exact minimum is never computed. Another component's
-    minimum is searched for only up to the budget left, and kept once found.
-    When the floors (or known minima) already exceed k, nothing is searched."""
+    minimum is searched for only up to the budget left. When the floors
+    already exceed k, nothing is searched."""
     bit, own = _locate(h, forced)
     if forced is not None and own is None:
         return False
     others = [c for c in h._split[3] if c is not own]
-    floors = sum(vars(c).get("minimum") or c.floor(0) for c in others)
-    if floors + (own.floor(bit) if own else 0) > k:
+    if sum(c.floor(0) for c in others) + (own.floor(bit) if own else 0) > k:
         return False
     for c in others:
-        if (least := vars(c).get("minimum") or c.least(0, cap=k)) is None:
+        if (least := c.least(0, cap=k)) is None:
             return False
-        c.minimum, k = least, k - least
-    return k >= 0 and (own is None or bool(next(own.search(bit, k), 0)))
+        k -= least
+    return own is None or bool(next(own.search(bit, k), 0))
 
 
 def in_minimum_hs(h: Hypergraph, t: Vertex) -> bool:
@@ -194,20 +193,13 @@ class _Component:
 
     def least(self, chosen: int, cap: Optional[int] = None) -> Optional[int]:
         """The least size of a minimal hitting set through `chosen`, or None
-        (also when it exceeds `cap`). The budget doubles from the floor until a
-        search finds a set, then drops below each set found until one has the
-        floor's size or a search finds none."""
-        floor = self.floor(chosen)
+        (also when it exceeds `cap`): the first budget, counting up from the
+        floor, at which a search finds a set."""
         cap = len(self.edges) if cap is None else min(cap, len(self.edges))
-        if floor > cap:
-            return None
-        least, budget = 0, floor
-        while not least and budget < 2 * cap:
-            least = next(self.search(chosen, min(budget, cap)), 0).bit_count()
-            budget *= 2
-        while least > floor and (smaller := next(self.search(chosen, least - 1), 0)):
-            least = smaller.bit_count()
-        return least or None
+        for budget in range(self.floor(chosen), cap + 1):
+            if next(self.search(chosen, budget), 0):
+                return budget
+        return None
 
     def search(self, chosen: int, budget: int) -> Iterator[int]:
         """Yield, as masks, the minimal hitting sets that contain `chosen` (one

@@ -231,6 +231,9 @@ def test_packing_floor_bounds_every_least_size(edges):
         rest = sum(c.minimum for c in components if c is not own)
         assert through == (None if least is None else least + rest)
         assert least is None or own.floor(bit) <= least
+        if least is not None:
+            for cap in range(least + 2):
+                assert own.least(bit, cap=cap) == (least if least <= cap else None)
 
 
 def _counted_searches(monkeypatch) -> list:
@@ -260,6 +263,17 @@ def test_a_minimum_at_its_floor_takes_one_search(monkeypatch):
     budgets.clear()
     assert min_hs_size(hg(*edges)) == 4
     assert budgets == [2, 2]
+
+
+def test_a_least_size_counts_up_from_its_floor(monkeypatch):
+    # A 5-cycle packs two disjoint edges and needs three vertices. K4 through a
+    # packs a plus one edge of the triangle bcd, and needs a plus two of b, c, d.
+    budgets = _counted_searches(monkeypatch)
+    assert min_hs_size(hg(*({x, y} for x, y in zip("abcde", "bcdea")))) == 3
+    assert budgets == [2, 3]
+    budgets.clear()
+    assert min_hs_size_containing(hg(*map(set, combinations("abcd", 2))), "a") == 3
+    assert budgets == [2, 3]
 
 
 def test_bounded_decision_settled_by_floors_searches_nothing(monkeypatch):
@@ -353,8 +367,8 @@ def _disjoint_groups(rng):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_bounded_decision_matches_exact_sizes_across_components(seed):
-    # Each decision finds the other components' minima only up to its budget,
-    # and keeps those it finds; a sequence of decisions on one hypergraph must
+    # Each decision finds the other components' minima only up to its budget
+    # and keeps none of them; a sequence of decisions on one hypergraph must
     # agree with the exact sizes of a fresh one.
     rng = random.Random(3600 + seed)
     vertices, edges = _disjoint_groups(rng)
