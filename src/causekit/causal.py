@@ -110,8 +110,10 @@ def decide_rpd(instance: Instance, q: UCQ, t: GroundTuple, v: Fraction) -> bool:
     framework = hitting_framework(instance, q)
     if framework is not None and not framework.edges:
         raise CausekitError("the query is false in the instance; nothing to explain")
-    is_cause = framework is not None and any(t in e for e in framework.edges)
-    return is_cause and (v == 0 or exists_hs_within(framework, v.denominator - 1, forced=t))
+    if framework is None or v == 0:  # a cause is a tuple in some edge
+        return framework is not None and any(t in e for e in framework.edges)
+    # A tuple in no edge is in no minimal hitting set: the decision says no.
+    return exists_hs_within(framework, v.denominator - 1, forced=t)
 
 
 def decide_mrcd(instance: Instance, q: UCQ, t: GroundTuple) -> bool:

@@ -10,14 +10,18 @@ question through one vertex (`forced`) searches its component from it. The
 least-size sets (`least`) come from the same search, budgeted at each
 component's least size. A greedy packing of pairwise disjoint edges bounds it
 from below (`floor`): budgets count up from it; decisions it settles run none.
+A component whose edges share a vertex (one edge, a star) needs no search for
+its minimum, 1, nor for a least size of 1, found exactly through those vertices.
+A minimal set through any other vertex holds none of them, so its floor packs
+the edges without them.
 Vertices must be hashable and totally ordered; output is canonically sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from functools import cached_property, reduce
+from itertools import chain, product
 from typing import Hashable, Iterable, Iterator, Optional
 
 from .errors import CausekitError, ResourceLimitError
@@ -51,30 +55,35 @@ class Hypergraph:
 
     @cached_property
     def _split(self) -> tuple[list, dict, list, list]:
-        """The vertices of the edges by bit position, each one's position, the
-        component of each position and the components, split by union-find once
-        per hypergraph; vertices in no edge belong to no component."""
-        index, parent, masks, incidence = {}, [], [], {}
-
-        def root(i: int) -> int:
+        """The vertices of the edges by bit position (in order of first
+        occurrence), each one's position, the component of each position and
+        the components, split by union-find once per hypergraph; vertices in
+        no edge belong to no component."""
+        order = list(dict.fromkeys(chain.from_iterable(self.edges)))
+        index = dict(zip(order, range(len(order))))
+        bits = [1 << i for i in range(len(order))]
+        parent, through, masks, roots = list(range(len(order))), [[] for _ in order], [], []
+        for e in self.edges:
+            ids = list(map(index.__getitem__, e))
+            masks.append(mask := sum(map(bits.__getitem__, ids)))
+            first = -1
+            for i in ids:
+                through[i].append(mask)
+                while parent[i] != i:  # up to i's root, halving the path
+                    parent[i] = i = parent[parent[i]]
+                if first < 0:
+                    first = i
+                parent[i] = first
+        for i in range(len(order)):
             while parent[i] != i:
                 parent[i] = i = parent[parent[i]]
-            return i
-
-        for e in self.edges:
-            ids = [index.setdefault(v, len(index)) for v in e]
-            parent.extend(range(len(parent), len(index)))
-            masks.append(sum(1 << i for i in ids))
-            first = root(ids[0])
-            for i in ids:
-                parent[root(i)] = first
-                incidence.setdefault(1 << i, []).append(masks[-1])
+            roots.append(i)
+        incidence = dict(zip(bits, through))  # each wide bit is hashed once
         groups: dict = {}
         for mask in masks:
-            groups.setdefault(root(mask.bit_length() - 1), []).append(mask)
+            groups.setdefault(roots[mask.bit_length() - 1], []).append(mask)
         components = {r: _Component(group, incidence) for r, group in groups.items()}
-        owner = [components[root(i)] for i in range(len(index))]
-        return list(index), index, owner, list(components.values())
+        return order, index, list(map(components.__getitem__, roots)), list(components.values())
 
 
 def minimal_hitting_sets(
@@ -137,14 +146,14 @@ def exists_hs_within(h: Hypergraph, k: int, forced: Optional[Vertex] = None) -> 
         if (least := c.least(0, cap=k)) is None:
             return False
         k -= least
-    return own is None or bool(next(own.search(bit, k), 0))
+    return own is None or own.within(bit, k)
 
 
 def in_minimum_hs(h: Hypergraph, t: Vertex) -> bool:
     """Decide whether some minimum hitting set contains t. A minimum is one per
     component, so t's component alone is searched, from t within its minimum."""
     bit, own = _locate(h, t)
-    return own is not None and bool(next(own.search(bit, own.minimum), 0))
+    return own is not None and own.within(bit, own.minimum)
 
 
 def min_hs_size(h: Hypergraph) -> int:
@@ -172,10 +181,12 @@ def _locate(h: Hypergraph, t: Optional[Vertex]) -> tuple[int, Optional[_Componen
 
 class _Component:
     """One connected component's edges as int masks, with the edges through
-    each vertex (a map shared by all components). Its one search is MMCS."""
+    each vertex (a map shared by all components) and the vertices common to
+    all its edges (`common`). Its one search is MMCS."""
 
     def __init__(self, edges: list[int], incidence: dict[int, list[int]]):
         self.edges, self.incidence = edges, incidence
+        self.common = reduce(int.__and__, edges)
 
     @cached_property
     def minimum(self) -> int:
@@ -184,11 +195,14 @@ class _Component:
 
     def floor(self, chosen: int) -> int:
         """|chosen| plus a greedy packing of pairwise disjoint edges that miss
-        `chosen`: no hitting set through `chosen` is smaller."""
+        `chosen`: no minimal hitting set through `chosen` is smaller. One
+        through a vertex outside `common` holds no common vertex (that vertex
+        would be left no private edge), so then common vertices are not packed."""
+        keep = ~self.common if chosen & ~self.common else -1
         used, count = chosen, chosen.bit_count()
         for e in self.edges:
             if not e & used:
-                used, count = used | e, count + 1
+                used, count = used | e & keep, count + 1
         return count
 
     def least(self, chosen: int, cap: Optional[int] = None) -> Optional[int]:
@@ -197,9 +211,20 @@ class _Component:
         floor, at which a search finds a set."""
         cap = len(self.edges) if cap is None else min(cap, len(self.edges))
         for budget in range(self.floor(chosen), cap + 1):
-            if next(self.search(chosen, budget), 0):
+            if self.within(chosen, budget):
                 return budget
         return None
+
+    def within(self, chosen: int, budget: int) -> bool:
+        """Whether a minimal hitting set through `chosen` has at most `budget`
+        members. A vertex common to all edges is one alone, and no other
+        vertex is: with one, no search runs through it (or through nothing),
+        nor at a budget below 2."""
+        if self.common:
+            alone = not chosen & ~self.common
+            if alone or budget < 2:
+                return alone and budget >= 1
+        return bool(next(self.search(chosen, budget), 0))
 
     def search(self, chosen: int, budget: int) -> Iterator[int]:
         """Yield, as masks, the minimal hitting sets that contain `chosen` (one

@@ -15,7 +15,8 @@ took in the step that bound it, hashes the survivors on their joined
 positions, and a depth-first run probes those tables. No table outlives
 the call: whole per-instance probe tables would raise peak memory. The
 images are cut to their minimal members (`minimal_sets`), each tested against
-the strictly shorter kept sets filed under its members.
+the strictly shorter kept sets filed under its members; the shortest are never
+tested. The join's last step adds its images in a loop, with no call per image.
 """
 
 from __future__ import annotations
@@ -58,11 +59,14 @@ def set_key(s: frozenset) -> tuple:
 def minimal_sets(sets) -> list[frozenset]:
     """The subset-minimal members of a collection, deduplicated, shortest first.
     A candidate is tested only against the strictly shorter kept sets filed
-    under its members: distinct sets of one size never contain each other."""
+    under its members: distinct sets of one size never contain each other, so
+    the shortest sets are kept untested."""
     kept: list[frozenset] = []
     filed: dict = {}
     for size, group in groupby(sorted(dict.fromkeys(sets), key=len), key=len):
-        fresh = [s for s in group if not any(k <= s for v in s for k in filed.get(v, ()))]
+        fresh = list(group) if not kept else [
+            s for s in group if not any(k <= s for v in s for k in filed.get(v, ()))
+        ]
         if not size:
             return fresh
         for s in fresh:
@@ -121,11 +125,15 @@ def _images(disjunct: Disjunct, instance: Instance, stop_early: bool) -> set[fro
 
 
 def _extend(run, depth, slots, used, images, stop_early) -> bool:
-    if depth == len(run):
-        images.add(frozenset(used))
-        return True
+    """Add the images that extend `used` by one fact per step from `depth` on
+    (with stop_early, at most one); whether any was added."""
     table, probe, binds = run[depth]
-    for fact in table if probe is None else table.get(probe(slots), ()):
+    facts = table if probe is None else table.get(probe(slots), ())
+    if depth == len(run) - 1:  # the last step binds no slot that is read later
+        for fact in facts[:1] if stop_early else facts:
+            images.add(frozenset((*used, fact)))
+        return bool(facts)
+    for fact in facts:
         for slot, pos in binds:
             slots[slot] = fact.args[pos]
         used.append(fact)

@@ -251,7 +251,7 @@ def _counted_searches(monkeypatch) -> list:
 def test_a_minimum_at_its_floor_takes_one_search(monkeypatch):
     budgets = _counted_searches(monkeypatch)
     assert min_hs_size(hg({"a", "b", "c"})) == 1
-    assert budgets == [1]
+    assert budgets == []  # one edge: its vertices are common to all edges
     # Two chain gadgets, one component each: the supports {s(x), r(x,y), s(y)}
     # of an s-path x0..x3 plus a back edge from x2. Two disjoint edges pack
     # each one, and {s(x1), s(x2)} covers it.
@@ -284,6 +284,105 @@ def test_bounded_decision_settled_by_floors_searches_nothing(monkeypatch):
     assert not exists_hs_within(h, 3)
     assert budgets == []
     assert exists_hs_within(h, 4, forced="t") and exists_hs_within(h, 4)
+
+
+def test_a_common_vertex_settles_a_component_without_search(monkeypatch):
+    # Each edge of M_8 is its own component, and every edge of a PQR star
+    # holds p(a). (A chain gadget has no common vertex: see the two-gadget
+    # union above, one search per component at its floor.)
+    matching = hg(*({f"a({i})", f"b({i})"} for i in range(1, 9)))
+    star = hg(*({"p(a)", f"{r}(a,{r}{i})"} for r in "qr" for i in range(4)))
+    budgets = _counted_searches(monkeypatch)
+    assert min_hs_size(matching) == 8
+    assert min_hs_size_containing(matching, "a(3)") == 8
+    assert exists_hs_within(matching, 8, forced="b(5)")
+    assert in_minimum_hs(matching, "a(1)")
+    assert min_hs_size_containing(star, "p(a)") == 1
+    assert in_minimum_hs(star, "p(a)") and not in_minimum_hs(star, "q(a,q0)")
+    assert budgets == []
+    # Through a leaf, p(a) is no member: the other leaves pack, one search.
+    assert min_hs_size_containing(star, "q(a,q0)") == 8
+    assert budgets == [8]
+
+
+def _component_of(edges, v) -> list:
+    """The edges connected to v, grown until no edge adds a vertex."""
+    reach, grown = {v}, True
+    while grown:
+        grown = False
+        for e in edges:
+            if e & reach and not e <= reach:
+                reach |= e
+                grown = True
+    return [e for e in edges if e & reach]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_edge, min_size=1, max_size=7), st.one_of(st.none(), st.sampled_from("abcdefgh")))
+@example([frozenset("ab"), frozenset("ac"), frozenset("a")], None)
+@example([frozenset("ab"), frozenset("bc"), frozenset("de")], "a")
+def test_common_vertex_rule_matches_the_oracle(edges, joined_at):
+    # A fresh vertex z joins every edge of joined_at's component, if any.
+    if joined_at is not None:
+        joined = _component_of(edges, joined_at)
+        edges = [e | {"z"} if e in joined else e for e in edges]
+    h = Hypergraph.build(set().union(*edges), edges)
+    _, index, owner, _ = h._split
+    minimum = oracle.min_hs(h.vertices, h.edges)
+    assert min_hs_size(h) == minimum
+    for t in sorted(h.vertices):
+        own, bit = owner[index[t]], 1 << index[t]
+        local = _component_of(h.edges, t)
+        assert own.minimum == oracle.min_hs(set().union(*local), local)
+        least = own.least(bit)
+        assert least == oracle.min_hs(set().union(*local), local, forced=t, essential=True)
+        for cap in range(len(own.edges) + 2):
+            assert own.least(bit, cap=cap) == (least if least is not None and least <= cap else None)
+        through = oracle.min_hs(h.vertices, h.edges, forced=t, essential=True)
+        assert in_minimum_hs(h, t) == (through == minimum)
+        for k in range(-1, len(h.edges) + 2):
+            assert exists_hs_within(h, k, forced=t) == (through is not None and through <= k)
+            assert exists_hs_within(h, k) == (minimum <= k)
+
+
+def _reference_split(h: Hypergraph) -> tuple:
+    """What `Hypergraph._split` computes, by a plain union-find over vertex
+    names: vertices numbered by first occurrence along the edges, each
+    vertex's component by position, and each component's edges as masks, in
+    the order of their first edges."""
+    order, parent = [], {}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e in h.edges:
+        members = list(e)
+        for v in members:
+            if v not in parent:
+                parent[v] = v
+                order.append(v)
+        for v in members[1:]:
+            parent[find(v)] = find(members[0])
+    index = {v: i for i, v in enumerate(order)}
+    groups: dict = {}
+    for e in h.edges:
+        groups.setdefault(find(next(iter(e))), []).append(sum(1 << index[v] for v in e))
+    roots = list(groups)
+    return order, index, [roots.index(find(v)) for v in order], list(groups.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_edge, max_size=9), st.sets(st.sampled_from("uvwxyz"), max_size=3))
+def test_split_matches_a_plain_union_find(edges, isolated):
+    h = Hypergraph.build(set().union(*edges, isolated), edges)
+    order, index, owner, components = h._split
+    ref_order, ref_index, ref_owner, ref_edges = _reference_split(h)
+    assert order == ref_order and index == ref_index
+    assert not isolated & set(index)
+    assert [components.index(c) for c in owner] == ref_owner
+    assert [c.edges for c in components] == ref_edges
 
 
 def _edges_over(alphabet):
