@@ -5,8 +5,8 @@ Tokens carry their character offset; a `ParseError`'s 1-based line and
 column are worked out from it only when the error is raised. A column
 counts characters (a tab is one), and only "\\n" ends a line.
 
-`FACT` reads instance text one header or whole fact per match, with no
-tokens, where a fact holds only plain words and no gaps. It is built from
+`FACT` splits instance text into headers and whole facts, with no tokens,
+where a fact holds only plain words and no gaps. It is built from
 the same word and comment sub-patterns as the scanner, so a change to the
 grammar is one edit; text it does not match is left to the scanner, which
 reads it or reports the error.
@@ -46,13 +46,16 @@ _TOKEN = re.compile(
 # and a failed match backtracks in linear time.
 GAP = re.compile(rf"\s*(?:{_COMMENT}(?![^\n])\s*)*")
 
-# One item of instance text after a gap: a section header (group 1) or a fact
-# `rel(c1,...,ck).` with its relation name (group 2) and its plain-word
-# arguments joined by bare commas (group 3). A fact with a gap or a quoted
-# constant inside matches neither, and is left to the scanner.
+# One item of instance text and the gap after it: a section header (group 1)
+# or a fact `rel(c1,...,ck).` with its relation name (group 2) and its
+# plain-word arguments joined by bare commas (group 3). A fact with a gap or a
+# quoted constant inside matches neither, and is left to the scanner. An item
+# starts after no word character and takes the gap after it, never the one
+# before, so a search (`FACT.split`) fails at once inside gaps and words it
+# passes over, and reads any text in linear time.
 FACT = re.compile(
-    rf"{GAP.pattern}(?:\[(endogenous|exogenous)\]"
-    rf"|({NAME})\(({BARE}(?:,{BARE})*)\)\.)"
+    rf"(?<![{_WORD_CHARS}])(?:\[(endogenous|exogenous)\]"
+    rf"|({NAME})\(({BARE}(?:,{BARE})*)\)\.){GAP.pattern}"
 )
 
 

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import causal, cqa, diagnosis, oracle, repair
@@ -44,7 +45,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         if getattr(args, "json", False):
-            print(json.dumps(payload, separators=(",", ":")))
+            print(payload if isinstance(payload, str) else json.dumps(payload, separators=(",", ":")))
         else:
             for line in lines:
                 print(line)
@@ -193,6 +194,9 @@ def _load_query(args, view=_as_ucq) -> tuple[Instance, object]:
 # --- rendering ---------------------------------------------------------------
 # One renderer per answer shape, shared by a production handler and its oracle
 # twin: (text lines, JSON payload), the lines joined lazily from the payload's.
+# The payload is what `json.dumps` prints, except for repairs: their payload is
+# the JSON text itself, joined from names encoded once, since each repair lists
+# nearly the whole instance.
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -228,19 +232,34 @@ def _render_contingencies(t, sets):
 
 
 def _render_repairs(instance, semantics, removals):
-    """Repairs given by their removed sets, in the given order. Each cuts its
-    removed positions out of one canonically ordered list of tuple names."""
-    position = {t: i for i, t in enumerate(canonical_sort(instance.tuples))}
-    names = [str(t) for t in position]
-    repairs = []
-    for removed in removals:
-        cut = sorted(position[t] for t in removed)
-        kept_names = names.copy()
-        for i in reversed(cut):
-            del kept_names[i]
-        repairs.append({"kept": kept_names, "removed": [names[i] for i in cut]})
-    lines = (f"removed: {_braces(r['removed'])} kept: {_braces(r['kept'])}" for r in repairs)
-    return lines, {"semantics": semantics, "repairs": repairs}
+    """Repairs given by their removed sets, in the given order: lazy text
+    lines and the JSON text. Each repair cuts its removed positions out of one
+    canonically ordered list of tuple names, or of the same names encoded once
+    as JSON strings (escaped as `json.dumps` escapes them); the JSON text is
+    one join of those pieces."""
+    ordered = canonical_sort(instance.tuples)
+    position = dict(zip(ordered, range(len(ordered))))
+    names = list(map(str, ordered))
+    encoded = list(map(encode_basestring_ascii, names))
+    cuts = [sorted(map(position.__getitem__, removed)) for removed in removals]
+    lines = (f"removed: {_braces([names[i] for i in cut])} kept: {_braces(_cut(names, cut))}"
+             for cut in cuts)
+    pieces = [f'{{"semantics":{encode_basestring_ascii(semantics)},"repairs":[']
+    for cut in cuts:
+        kept, removed = ",".join(_cut(encoded, cut)), ",".join(map(encoded.__getitem__, cut))
+        pieces += ('{"kept":[', kept, '],"removed":[', removed, "]},")
+    if cuts:
+        pieces[-1] = "]}"  # no comma after the last repair
+    pieces.append("]}")
+    return lines, "".join(pieces)
+
+
+def _cut(items: list[str], cut: list[int]) -> list[str]:
+    """`items` without the ascending positions in `cut`."""
+    kept = items.copy()
+    for i in reversed(cut):
+        del kept[i]
+    return kept
 
 
 # --- handlers ----------------------------------------------------------------
@@ -273,8 +292,8 @@ def _cmd_mrc(args):
 
 def _cmd_repairs(args):
     instance, dcs = _load_query(args, _as_dcs)
-    found = repair.repairs(instance, dcs, args.semantics, max_results=args.limit)
-    return _render_repairs(instance, args.semantics, [r.removed for r in found])
+    removals = repair.removal_sets(instance, dcs, args.semantics, max_results=args.limit)
+    return _render_repairs(instance, args.semantics, removals)
 
 
 def _cmd_repair_check(args):

@@ -140,10 +140,11 @@ def exists_hs_within(h: Hypergraph, k: int, forced: Optional[Vertex] = None) -> 
     if forced is not None and own is None:
         return False
     others = [c for c in h._split[3] if c is not own]
-    if sum(c.floor(0) for c in others) + (own.floor(bit) if own else 0) > k:
+    floors = [c.floor(0) for c in others]
+    if sum(floors) + (own.floor(bit) if own else 0) > k:
         return False
-    for c in others:
-        if (least := c.least(0, cap=k)) is None:
+    for c, floor in zip(others, floors):
+        if (least := c.least(0, cap=k, floor=floor)) is None:
             return False
         k -= least
     return own is None or own.within(bit, k)
@@ -205,12 +206,15 @@ class _Component:
                 used, count = used | e & keep, count + 1
         return count
 
-    def least(self, chosen: int, cap: Optional[int] = None) -> Optional[int]:
+    def least(
+        self, chosen: int, cap: Optional[int] = None, floor: Optional[int] = None
+    ) -> Optional[int]:
         """The least size of a minimal hitting set through `chosen`, or None
         (also when it exceeds `cap`): the first budget, counting up from the
-        floor, at which a search finds a set."""
+        floor (`floor(chosen)` unless the caller has it), at which a search
+        finds a set."""
         cap = len(self.edges) if cap is None else min(cap, len(self.edges))
-        for budget in range(self.floor(chosen), cap + 1):
+        for budget in range(self.floor(chosen) if floor is None else floor, cap + 1):
             if self.within(chosen, budget):
                 return budget
         return None

@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, groupby, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from ._scan import BARE, FACT, GAP, NAME, TokenStream, is_constant_word, parse_atom, unquote
@@ -18,6 +19,7 @@ from .errors import CausekitError
 
 _PLAIN_CONSTANT = re.compile(rf"{BARE}\Z")
 _SPELLING = re.compile(rf"{NAME}\Z")
+_PLAIN_ARGS = re.compile(rf"{BARE}(?:,{BARE})*\Z")
 
 
 def format_constant(symbol: str) -> str:
@@ -37,7 +39,11 @@ class GroundTuple(NamedTuple):
     args: tuple[str, ...]
 
     def __str__(self) -> str:
-        return f"{self.relation}({','.join(format_constant(a) for a in self.args)})"
+        # One match for the common case: plain constants, none holding a comma.
+        joined = ",".join(self.args)
+        if joined.count(",") != len(self.args) - 1 or not _PLAIN_ARGS.match(joined):
+            joined = ",".join(map(format_constant, self.args))
+        return f"{self.relation}({joined})"
 
     def __repr__(self) -> str:
         return str(self)
@@ -67,8 +73,11 @@ class Instance:
         if overlap:
             facts = ", ".join(str(t) for t in canonical_sort(overlap))
             raise CausekitError(f"fact in both partitions: {facts}")
+        # The distinct (relation, arity) pairs, gathered in C; few to check.
+        tuples = (self.endo, self.exo)
+        shapes = set(zip(map(itemgetter(0), chain(*tuples)), map(len, map(itemgetter(1), chain(*tuples)))))
         arities: dict[str, int] = {}
-        for relation, arity in self._relations:
+        for relation, arity in sorted(shapes):
             if arities.setdefault(relation, arity) != arity:
                 raise CausekitError(
                     f"arity conflict for relation '{relation}': {arities[relation]} vs {arity}"
@@ -81,11 +90,13 @@ class Instance:
     @cached_property
     def _relations(self) -> dict[tuple[str, int], list[GroundTuple]]:
         """The tuples by (relation, arity), unsorted, as the join reads them.
-        Built by the arity check at construction; outside equality."""
-        groups: dict[tuple[str, int], list[GroundTuple]] = {}
-        for t in chain(self.endo, self.exo):
-            groups.setdefault((t.relation, len(t.args)), []).append(t)
-        return groups
+        Grouped when first read, by a stable sort on the relation name (each
+        has one arity), and shared with the all-endogenous view; outside
+        equality."""
+        relation = itemgetter(0)
+        ordered = sorted(chain(self.endo, self.exo), key=relation)
+        groups = [list(group) for _, group in groupby(ordered, relation)]
+        return {(g[0].relation, len(g[0].args)): g for g in groups}
 
     def arities(self) -> dict[str, int]:
         return {relation: arity for relation, arity in self._relations}
@@ -99,7 +110,7 @@ class Instance:
         if not self.exo:
             return self
         view = object.__new__(Instance)
-        vars(view).update(vars(self), endo=self.tuples, exo=frozenset())
+        vars(view).update(vars(self), endo=self.tuples, exo=frozenset(), _relations=self._relations)
         return view
 
     def __len__(self) -> int:
@@ -114,12 +125,12 @@ def parse_instance(text: str) -> Instance:
     collapsed silently; the same fact in both sections is an error, as is an
     arity conflict for a relation.
 
-    The text is read one header or whole fact per match of `_scan.FACT`,
-    which takes facts of plain words with no gaps inside, as
-    `serialize_instance` writes them. Any other text (a quoted constant or a
-    gap inside a fact, an error, an arity conflict, a fact in both sections)
-    is read again token by token, and that reader raises the ParseError; on
-    text both accept they agree.
+    The text is read in one split on `_scan.FACT`, which matches a header or
+    a whole fact of plain words with no gaps inside, as `serialize_instance`
+    writes them; the facts of each section run are built by maps in C. Any
+    other text (a quoted constant or a gap inside a fact, an error, an arity
+    conflict, a fact in both sections) is read again token by token, and that
+    reader raises the ParseError; on text both accept they agree.
     """
     instance = _read_facts(text)
     return _parse_tokens(text) if instance is None else instance
@@ -127,23 +138,30 @@ def parse_instance(text: str) -> Instance:
 
 def _read_facts(text: str) -> Instance | None:
     """The instance, or None where `_parse_tokens` has to read the text."""
+    # Past the leading gap, split yields the text before the first item, then
+    # per item its header, relation and arguments and the text up to the next
+    # item. Each item takes the gap after it, so any text left over is text
+    # this reader cannot read.
+    pieces = FACT.split(text[GAP.match(text).end():])
+    if any(pieces[::4]):
+        return None
+    sections, rels, args = pieces[1::4], pieces[2::4], pieces[3::4]
     endo: set[GroundTuple] = set()
     exo: set[GroundTuple] = set()
-    target = endo
-    spelling: dict[str, str] = {}
-    match, pos = FACT.match, 0
-    while m := match(text, pos):
-        pos = m.end()
-        section, rel, args = m.groups()
-        if section:
-            target = endo if section == "endogenous" else exo
-            continue
-        relation = rel.lower()
-        spelling.setdefault(relation, rel)
+    firsts: dict[tuple[str, str], None] = {}
+    # The facts after each header (or before any, at -1) are one run, read by maps in C.
+    heads = [-1, *compress(range(len(sections)), sections)]
+    for head, end in zip(heads, [*heads[1:], len(sections)]):
+        target = exo if head >= 0 and sections[head] == "exogenous" else endo
+        spelled = rels[head + 1:end]
+        lowered = list(map(str.lower, spelled))
+        firsts.update(dict.fromkeys(zip(lowered, spelled)))
         # tuple.__new__ skips the NamedTuple's generated __new__, a Python function.
-        target.add(tuple.__new__(GroundTuple, (relation, tuple(args.split(",")))))
-    if not GAP.fullmatch(text, pos):
-        return None
+        argss = map(tuple, map(str.split, args[head + 1:end], repeat(",")))
+        target.update(map(tuple.__new__, repeat(GroundTuple), zip(lowered, argss)))
+    spelling: dict[str, str] = {}
+    for relation, rel in firsts:
+        spelling.setdefault(relation, rel)
     try:
         return Instance(frozenset(endo), frozenset(exo), spelling)
     except CausekitError:  # an arity conflict or a fact in both sections

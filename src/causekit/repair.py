@@ -57,10 +57,22 @@ def repairs(
     minimal hitting sets of the violation supports.
     """
     semantics = check_semantics(semantics)
-    violations = _violations(instance, constraints)
-    removals = minimal_hitting_sets(violations, least=semantics == "c", max_results=max_results)
+    removals = removal_sets(instance, constraints, semantics, max_results=max_results)
     everything = instance.tuples
     return [Repair(kept=everything - r, removed=r, semantics=semantics) for r in removals]
+
+
+def removal_sets(
+    instance: Instance,
+    constraints: list[DenialConstraint],
+    semantics: str = "s",
+    *,
+    max_results: Optional[int] = None,
+) -> list[frozenset[GroundTuple]]:
+    """The removed sets of `repairs`, in the same order, without the kept sets."""
+    semantics = check_semantics(semantics)
+    violations = _violations(instance, constraints)
+    return minimal_hitting_sets(violations, least=semantics == "c", max_results=max_results)
 
 
 def difference_sets(

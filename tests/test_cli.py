@@ -431,11 +431,13 @@ def test_reusing_the_parser_changes_nothing(files, capsys, monkeypatch):
         assert (out, err, code) == _fresh_process(argv), argv
 
 
-# Quoted constants ("A", "a b") make a tuple's name sort apart from the tuple.
+# Quoted constants ("A", "a b") make a tuple's name sort apart from the tuple;
+# '"', '\\', a tab and "é" make it one that JSON escapes.
 _facts = st.builds(
     lambda rel_arity, args: GroundTuple(rel_arity[0], tuple(args[: rel_arity[1]])),
     st.sampled_from([("p", 1), ("q", 2)]),
-    st.lists(st.sampled_from(["a", "b", "A", "a b", "0"]), min_size=2, max_size=2),
+    st.lists(st.sampled_from(["a", "b", "A", "a b", "0", 'x"y', "a\\b", "a\tb", "é"]),
+             min_size=2, max_size=2),
 )
 
 
@@ -460,8 +462,9 @@ def test_render_repairs_matches_filtering_the_instance(facts, data):
                               + ", ".join(kept_names) + "}")
         expected_repairs.append({"kept": kept_names, "removed": removed_names})
     assert list(lines) == expected_lines
-    assert payload == {"semantics": semantics, "repairs": expected_repairs}
-    for removed, repair in zip(removals, payload["repairs"]):
+    expected = {"semantics": semantics, "repairs": expected_repairs}
+    assert payload == json.dumps(expected, separators=(",", ":"))
+    for removed, repair in zip(removals, json.loads(payload)["repairs"]):
         assert not set(repair["kept"]) & set(repair["removed"])
         assert sorted(repair["kept"] + repair["removed"]) == sorted(str(t) for t in ordered)
         assert repair["removed"] == [str(t) for t in canonical_sort(removed)]

@@ -228,9 +228,32 @@ def test_both_readers_read_the_generated_facts(case):
 
 @given(_instance_texts(tight=True))
 def test_fact_reader_reads_plain_facts_itself(case):
+    # Repeated and interleaved headers, comments, blank lines and mixed-case
+    # spellings: both readers agree, and the first spelling seen wins.
     text, expected = case
-    instance = model._read_facts(text)
-    assert instance == expected and instance.spelling == expected.spelling
+    for read in (model._read_facts, model._parse_tokens):
+        instance = read(text)
+        assert instance == expected and instance.spelling == expected.spelling
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p(a). q(b). P(a,b).",  # an arity conflict
+        "p(a). [exogenous] q(b). p(a).",  # a fact in both sections
+        "p(a ).",  # gaps inside a fact
+        "p (a).",
+        "p(a,\nb).",
+        "p(a) .",
+        "p(a). q(b)",  # trailing junk
+        "p(a). %x\n)",
+        "p(a). ! q(b).",  # junk between facts
+        "p(a).q(b)x.",
+        "p(a)._q(b).",
+    ],
+)
+def test_fact_reader_leaves_other_text_to_the_token_reader(text):
+    assert model._read_facts(text) is None
 
 
 def _outcome(read, text):
@@ -276,6 +299,24 @@ def test_ground_tuple_is_a_plain_tuple_pair():
     assert hash(t) == hash((t.relation, t.args))
     assert str(t) == repr(t) == "p(a)"
     assert str(GroundTuple("r", ("a b", 'x"y'))) == 'r("a b","x\\"y")'
+
+
+@given(
+    st.sampled_from(["p", "q_1"]),
+    st.lists(
+        st.sampled_from(_PLAIN + ["", ",", "a,b", '"', "\\", " ", "A", "é"]) | st.text(alphabet='a0,"\\ Aé', max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_ground_tuple_name_formats_each_constant(relation, args):
+    t = GroundTuple(relation, tuple(args))
+    assert str(t) == relation + "(" + ",".join(map(model.format_constant, args)) + ")"
+    assert parse_fact(str(t)) == t
+
+
+def test_ground_tuple_name_quotes_a_constant_with_a_comma():
+    assert str(GroundTuple("r", ("a,b", "c"))) == 'r("a,b",c)'
 
 
 def test_ground_tuple_order_is_relation_then_args():
