@@ -23,7 +23,7 @@ from .hitset import (
 )
 from .model import GroundTuple, Instance
 from .query import UCQ, Disjunct, QueryAtom, Variable
-from .support import endogenous_support, set_key
+from .support import endogenous_support
 
 
 def hitting_framework(instance: Instance, q: UCQ) -> Optional[Hypergraph]:
@@ -36,7 +36,7 @@ def hitting_framework(instance: Instance, q: UCQ) -> Optional[Hypergraph]:
     if family.vacuous:
         return None
     # The family is canonically sorted, nonempty and inside endo: no re-sort.
-    return Hypergraph(instance.endo, family.sets, max(map(len, family.sets), default=0))
+    return Hypergraph(instance.endo, family.sets)
 
 
 def actual_causes(instance: Instance, q: UCQ) -> frozenset[GroundTuple]:
@@ -64,8 +64,8 @@ def minimal_contingencies(
     framework = hitting_framework(instance, q)
     if framework is None:
         return []
-    sets = minimal_hitting_sets(framework, forced=t, max_results=max_results)
-    return sorted((h - {t} for h in sets), key=set_key)
+    # Taking t out of an antichain through t keeps its canonical order.
+    return [h - {t} for h in minimal_hitting_sets(framework, forced=t, max_results=max_results)]
 
 
 def responsibility(instance: Instance, q: UCQ, t: GroundTuple) -> Fraction:

@@ -44,7 +44,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if getattr(args, "json", False):
+        if args.json:
             print(payload if isinstance(payload, str) else json.dumps(payload, separators=(",", ":")))
         else:
             for line in lines:

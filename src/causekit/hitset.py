@@ -13,8 +13,10 @@ from below (`floor`): budgets count up from it; decisions it settles run none.
 A component whose edges share a vertex (one edge, a star) needs no search for
 its minimum, 1, nor for a least size of 1, found exactly through those vertices.
 A minimal set through any other vertex holds none of them, so its floor packs
-the edges without them.
+the edges without them. Vertices are numbered by first occurrence along the
+sorted edges, each read sorted, so the search branches alike under every hash seed.
 Vertices must be hashable and totally ordered; output is canonically sorted.
+The one budget counts final sets, never the size of the hypergraph.
 """
 
 from __future__ import annotations
@@ -32,14 +34,10 @@ Vertex = Hashable
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """A vertex set plus a collection of nonempty edges over it.
-
-    `bound` records the maximum edge size at construction time.
-    """
+    """A vertex set plus a collection of nonempty edges over it."""
 
     vertices: frozenset
     edges: tuple[frozenset, ...]
-    bound: int
 
     @classmethod
     def build(cls, vertices: Iterable[Vertex], edges: Iterable[Iterable[Vertex]]) -> "Hypergraph":
@@ -50,16 +48,20 @@ class Hypergraph:
                 raise CausekitError("hypergraph edges must be nonempty")
             if not e <= vset:
                 raise CausekitError("hypergraph edge mentions unknown vertices")
-        ordered = tuple(sorted(eset, key=set_key))
-        return cls(vset, ordered, max((len(e) for e in ordered), default=0))
+        return cls(vset, tuple(sorted(eset, key=set_key)))
+
+    @cached_property
+    def bound(self) -> int:
+        """The largest edge size; 0 with no edges."""
+        return max(map(len, self.edges), default=0)
 
     @cached_property
     def _split(self) -> tuple[list, dict, list, list]:
         """The vertices of the edges by bit position (in order of first
-        occurrence), each one's position, the component of each position and
-        the components, split by union-find once per hypergraph; vertices in
-        no edge belong to no component."""
-        order = list(dict.fromkeys(chain.from_iterable(self.edges)))
+        occurrence, each edge read sorted), each one's position, the component
+        of each position and the components, split by union-find once per
+        hypergraph; vertices in no edge belong to no component."""
+        order = list(dict.fromkeys(chain.from_iterable(map(sorted, self.edges))))
         index = dict(zip(order, range(len(order))))
         bits = [1 << i for i in range(len(order))]
         parent, through, masks, roots = list(range(len(order))), [[] for _ in order], [], []
@@ -92,7 +94,6 @@ def minimal_hitting_sets(
     forced: Optional[Vertex] = None,
     least: bool = False,
     max_results: Optional[int] = None,
-    max_vertices: Optional[int] = None,
 ) -> list[frozenset]:
     """Exactly all subset-minimal hitting sets, canonically sorted; with
     `forced` given, only those through it (its component is searched from it);
@@ -101,10 +102,6 @@ def minimal_hitting_sets(
     With no edges the empty set is the unique answer. A budget counts final
     sets only; exceeding it raises ResourceLimitError rather than truncating.
     """
-    if max_vertices is not None and len(h.vertices) > max_vertices:
-        raise ResourceLimitError(
-            f"hitting-set vertex budget exceeded: {len(h.vertices)} > {max_vertices}"
-        )
     bit, own = _locate(h, forced)
     if forced is not None and own is None:
         return []

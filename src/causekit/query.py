@@ -170,10 +170,10 @@ def _parse_term(stream: TokenStream) -> Term:
     raise stream.error("expected a variable or constant")
 
 
-def format_program(program: UCQ | list[DenialConstraint], head: str = "q") -> str:
+def format_program(program: UCQ | list[DenialConstraint]) -> str:
     """Render a query or constraint list back into rule syntax."""
     if isinstance(program, UCQ):
-        lines = [f"{head} :- {', '.join(str(a) for a in d.atoms)}." for d in program.disjuncts]
+        lines = [f"q :- {', '.join(str(a) for a in d.atoms)}." for d in program.disjuncts]
     else:
         lines = [str(dc) for dc in program]
     return "\n".join(lines) + "\n"

@@ -32,7 +32,7 @@ from .query import UCQ, Constant, Disjunct, QueryAtom, Variable
 
 @dataclass(frozen=True)
 class SupportFamily:
-    """An antichain of tuple-sets over a base universe.
+    """An antichain of tuple-sets.
 
     `vacuous` marks the degenerate case where the query is satisfied by
     exogenous tuples alone: the query is true no matter which endogenous
@@ -40,7 +40,6 @@ class SupportFamily:
     empty family, which means the query is false.
     """
 
-    base: frozenset[GroundTuple]
     sets: tuple[frozenset[GroundTuple], ...]
     vacuous: bool = False
 
@@ -166,6 +165,5 @@ def endogenous_support(q: UCQ, instance: Instance) -> SupportFamily:
     images = set().union(*(_images(d, instance, stop_early=False) for d in q.disjuncts))
     projections = {s & instance.endo for s in images} if instance.exo else images
     if frozenset() in projections:
-        return SupportFamily(base=instance.endo, sets=(), vacuous=True)
-    sets = sorted(minimal_sets(projections), key=set_key)
-    return SupportFamily(base=instance.endo, sets=tuple(sets))
+        return SupportFamily((), vacuous=True)
+    return SupportFamily(tuple(sorted(minimal_sets(projections), key=set_key)))

@@ -1,7 +1,11 @@
 """Hitting-set enumeration, bounded branching, and the graph extension."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -109,12 +113,6 @@ def test_forced_result_budget_counts_sets_through_the_vertex_only():
     assert minimal_hitting_sets(h, forced="e", max_results=0) == []
     with pytest.raises(CausekitError):
         minimal_hitting_sets(h, forced="missing")
-
-
-def test_vertex_budget_is_enforced():
-    h = hg({"a", "b"})
-    with pytest.raises(ResourceLimitError):
-        minimal_hitting_sets(h, max_vertices=1)
 
 
 def test_edges_validated():
@@ -347,9 +345,9 @@ def test_common_vertex_rule_matches_the_oracle(edges, joined_at):
 
 def _reference_split(h: Hypergraph) -> tuple:
     """What `Hypergraph._split` computes, by a plain union-find over vertex
-    names: vertices numbered by first occurrence along the edges, each
-    vertex's component by position, and each component's edges as masks, in
-    the order of their first edges."""
+    names: vertices numbered by first occurrence along the edges, each edge
+    read in sorted order, each vertex's component by position, and each
+    component's edges as masks, in the order of their first edges."""
     order, parent = [], {}
 
     def find(v):
@@ -358,7 +356,7 @@ def _reference_split(h: Hypergraph) -> tuple:
         return v
 
     for e in h.edges:
-        members = list(e)
+        members = sorted(e)
         for v in members:
             if v not in parent:
                 parent[v] = v
@@ -383,6 +381,33 @@ def test_split_matches_a_plain_union_find(edges, isolated):
     assert not isolated & set(index)
     assert [components.index(c) for c in owner] == ref_owner
     assert [c.edges for c in components] == ref_edges
+
+
+# Branch nodes of one encoded-graph responsibility question (9 vertices, 13 edges).
+_BRANCH_NODES = """
+from causekit import UCQ, encode_graph, responsibility
+from causekit.hitset import _Component
+edges = [("v0", "v4"), ("v0", "v5"), ("v0", "v7"), ("v0", "v8"), ("v1", "v2"),
+         ("v1", "v6"), ("v1", "v8"), ("v2", "v3"), ("v2", "v4"), ("v2", "v8"),
+         ("v3", "v7"), ("v3", "v8"), ("v5", "v7")]
+instance, query, t = encode_graph([f"v{i}" for i in range(9)], edges, "v0")
+nodes, branches = [], _Component._branches
+_Component._branches = lambda *args: nodes.append(args) or branches(*args)
+print(responsibility(instance, UCQ((query,)), t), len(nodes))
+"""
+
+
+def test_search_order_does_not_follow_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(seed):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
+        return subprocess.run([sys.executable, "-c", _BRANCH_NODES], env=env, check=True,
+                              capture_output=True, text=True, timeout=60).stdout.split()
+
+    first = run(1)
+    assert first[0] == "1/5" and run(4) == first
 
 
 def _edges_over(alphabet):
@@ -437,6 +462,11 @@ def test_extension_rejects_isolated_and_unknown():
         extend_for_vertex(g, "c")
     with pytest.raises(CausekitError):
         extend_for_vertex(g, "zz")
+    wide = hg({"a", "b", "c"}, {"c", "d"})
+    assert wide.bound == 3
+    with pytest.raises(CausekitError, match=r"edges of size <= 2"):
+        extend_for_vertex(wide, "d")
+    assert Hypergraph.build({"a"}, []).bound == 0
 
 
 def test_extension_matches_brute_force_on_random_graphs():
