@@ -36,7 +36,7 @@ def hitting_framework(instance: Instance, q: UCQ) -> Optional[Hypergraph]:
     if family.vacuous:
         return None
     # The family is canonically sorted, nonempty and inside endo: no re-sort.
-    return Hypergraph(instance.endo, family.sets)
+    return Hypergraph(instance.endo, family.sets, family._members)
 
 
 def actual_causes(instance: Instance, q: UCQ) -> frozenset[GroundTuple]:

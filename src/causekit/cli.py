@@ -231,19 +231,20 @@ def _render_contingencies(t, sets):
     return map(_braces, lists), {"tuple": str(t), "contingencies": lists}
 
 
-def _render_repairs(instance, semantics, removals):
-    """Repairs given by their removed sets, in the given order: lazy text
-    lines and the JSON text. Each repair cuts its removed positions out of one
-    canonically ordered list of tuple names, or of the same names encoded once
-    as JSON strings (escaped as `json.dumps` escapes them); the JSON text is
-    one join of those pieces."""
+def _render_repairs(instance, semantics, removals, as_json):
+    """Repairs given by their removed sets, in the given order: the JSON text
+    with `as_json`, else lazy text lines (the other one is None). Each repair
+    cuts its removed positions out of one canonically ordered list of tuple
+    names, or of the same names encoded once as JSON strings (escaped as
+    `json.dumps` escapes them); the JSON text is one join of those pieces."""
     ordered = canonical_sort(instance.tuples)
     position = dict(zip(ordered, range(len(ordered))))
     names = list(map(str, ordered))
-    encoded = list(map(encode_basestring_ascii, names))
     cuts = [sorted(map(position.__getitem__, removed)) for removed in removals]
-    lines = (f"removed: {_braces([names[i] for i in cut])} kept: {_braces(_cut(names, cut))}"
-             for cut in cuts)
+    if not as_json:
+        return (f"removed: {_braces([names[i] for i in cut])} kept: {_braces(_cut(names, cut))}"
+                for cut in cuts), None
+    encoded = list(map(encode_basestring_ascii, names))
     pieces = [f'{{"semantics":{encode_basestring_ascii(semantics)},"repairs":[']
     for cut in cuts:
         kept, removed = ",".join(_cut(encoded, cut)), ",".join(map(encoded.__getitem__, cut))
@@ -251,7 +252,7 @@ def _render_repairs(instance, semantics, removals):
     if cuts:
         pieces[-1] = "]}"  # no comma after the last repair
     pieces.append("]}")
-    return lines, "".join(pieces)
+    return None, "".join(pieces)
 
 
 def _cut(items: list[str], cut: list[int]) -> list[str]:
@@ -293,7 +294,7 @@ def _cmd_mrc(args):
 def _cmd_repairs(args):
     instance, dcs = _load_query(args, _as_dcs)
     removals = repair.removal_sets(instance, dcs, args.semantics, max_results=args.limit)
-    return _render_repairs(instance, args.semantics, removals)
+    return _render_repairs(instance, args.semantics, removals, args.json)
 
 
 def _cmd_repair_check(args):
@@ -391,7 +392,8 @@ def _cmd_oracle_contingencies(args):
 def _cmd_oracle_repairs(args):
     instance, dcs = _load_query(args, _as_dcs)
     kept_sets = oracle.repairs(instance, dcs, args.semantics, cap=args.cap)
-    return _render_repairs(instance, args.semantics, [instance.tuples - kept for kept in kept_sets])
+    removals = [instance.tuples - kept for kept in kept_sets]
+    return _render_repairs(instance, args.semantics, removals, args.json)
 
 
 def _cmd_oracle_min_hs(args):

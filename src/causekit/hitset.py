@@ -21,13 +21,13 @@ The one budget counts final sets, never the size of the hypergraph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, product
 from typing import Hashable, Iterable, Iterator, Optional
 
 from .errors import CausekitError, ResourceLimitError
-from .support import set_key
+from .support import _canonical_sets, set_key
 
 Vertex = Hashable
 
@@ -38,6 +38,8 @@ class Hypergraph:
 
     vertices: frozenset
     edges: tuple[frozenset, ...]
+    # Each edge's members, sorted, when its maker has them; `_split` numbers along them.
+    _members: Optional[tuple[tuple, ...]] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def build(cls, vertices: Iterable[Vertex], edges: Iterable[Iterable[Vertex]]) -> "Hypergraph":
@@ -48,7 +50,7 @@ class Hypergraph:
                 raise CausekitError("hypergraph edges must be nonempty")
             if not e <= vset:
                 raise CausekitError("hypergraph edge mentions unknown vertices")
-        return cls(vset, tuple(sorted(eset, key=set_key)))
+        return cls(vset, *_canonical_sets(list(eset)))
 
     @cached_property
     def bound(self) -> int:
@@ -61,11 +63,12 @@ class Hypergraph:
         occurrence, each edge read sorted), each one's position, the component
         of each position and the components, split by union-find once per
         hypergraph; vertices in no edge belong to no component."""
-        order = list(dict.fromkeys(chain.from_iterable(map(sorted, self.edges))))
+        members = self._members if self._members is not None else list(map(sorted, self.edges))
+        order = list(dict.fromkeys(chain.from_iterable(members)))
         index = dict(zip(order, range(len(order))))
         bits = [1 << i for i in range(len(order))]
         parent, through, masks, roots = list(range(len(order))), [[] for _ in order], [], []
-        for e in self.edges:
+        for e in members:
             ids = list(map(index.__getitem__, e))
             masks.append(mask := sum(map(bits.__getitem__, ids)))
             first = -1

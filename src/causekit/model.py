@@ -98,6 +98,15 @@ class Instance:
         groups = [list(group) for _, group in groupby(ordered, relation)]
         return {(g[0].relation, len(g[0].args)): g for g in groups}
 
+    @cached_property
+    def _columns(self) -> dict[tuple[str, int], tuple]:
+        """The join's columns by (relation, arity): each extension's values
+        per position, built by `support` on its second filtered read (the
+        first leaves `()` as a mark). Shared with the all-endogenous view;
+        outside equality. Every value written is a correct one, so racing
+        readers at worst build a column twice."""
+        return {}
+
     def arities(self) -> dict[str, int]:
         return {relation: arity for relation, arity in self._relations}
 
@@ -110,7 +119,8 @@ class Instance:
         if not self.exo:
             return self
         view = object.__new__(Instance)
-        vars(view).update(vars(self), endo=self.tuples, exo=frozenset(), _relations=self._relations)
+        vars(view).update(vars(self), endo=self.tuples, exo=frozenset(), _relations=self._relations,
+                         _columns=self._columns)
         return view
 
     def __len__(self) -> int:

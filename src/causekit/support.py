@@ -7,24 +7,33 @@ hyperedges every cause computation hits against.
 
 Homomorphisms come from a join planned per disjunct and call: atoms are
 taken greedily by most bound positions (constants or variables bound
-earlier), then smallest extension, then atom index, and variables are
-integer slots. Each `Instance` partitions its tuples by (relation, arity)
-once, as unsorted lists. A step filters its atom's extension (semijoin)
-on each bound position, against the constant or the values the variable
-took in the step that bound it, hashes the survivors on their joined
-positions, and a depth-first run probes those tables. No table outlives
-the call: whole per-instance probe tables would raise peak memory. The
-images are cut to their minimal members (`minimal_sets`), each tested against
-the strictly shorter kept sets filed under its members; the shortest are never
-tested. The join's last step adds its images in a loop, with no call per image.
+earlier), then smallest extension, then atom index. Each `Instance`
+partitions its tuples by (relation, arity) once, as unsorted lists. A step
+filters its atom's extension (semijoin) on each bound position, against the
+constant or the values the variable took in the step that bound it. The
+first filter scans the whole extension; later ones scan the survivors. From
+an extension's second filtered read on, that scan is one `compress` pass
+over a column (the extension's values at one position) with the test in C.
+Columns are built on that second read, never at parse nor on the first, so
+an instance read once (a CLI request) builds none, and they outlive the
+call, kept on the instance and shared with its all-endogenous view, because
+several questions read one instance; they hold one reference per fact and
+position. The survivors are hashed on their joined positions, and these
+probe tables never outlive the call: whole per-instance tables would raise
+peak memory. Each step is a generator that extends the rows of the step
+before by probing its table, so no step's rows are held and `evaluate`
+stops at the first image. The images are cut to their minimal members
+(`minimal_sets`), each tested against the strictly shorter kept sets filed
+under its members; the shortest are never tested. One sort puts them in
+canonical order and gives the hypergraph each one's sorted members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import groupby
+from dataclasses import dataclass, field
+from itertools import compress, groupby
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .model import GroundTuple, Instance
 from .query import UCQ, Constant, Disjunct, QueryAtom, Variable
@@ -42,6 +51,8 @@ class SupportFamily:
 
     sets: tuple[frozenset[GroundTuple], ...]
     vacuous: bool = False
+    # Each set's members, sorted, for the hypergraph to number its vertices along.
+    _members: Optional[tuple[tuple, ...]] = field(default=None, compare=False, repr=False)
 
     def __iter__(self) -> Iterator[frozenset[GroundTuple]]:
         return iter(self.sets)
@@ -53,6 +64,14 @@ class SupportFamily:
 def set_key(s: frozenset) -> tuple:
     """Canonical sort key for a set: the tuple of its sorted members."""
     return tuple(sorted(s))
+
+
+def _canonical_sets(sets: list[frozenset]) -> tuple[tuple, tuple]:
+    """The sets in canonical order and, in that order, each one's `set_key`:
+    one sort gives both."""
+    keys = list(map(set_key, sets))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return tuple(map(sets.__getitem__, order)), tuple(map(keys.__getitem__, order))
 
 
 def minimal_sets(sets) -> list[frozenset]:
@@ -74,78 +93,91 @@ def minimal_sets(sets) -> list[frozenset]:
     return kept
 
 
-def _images(disjunct: Disjunct, instance: Instance, stop_early: bool) -> set[frozenset]:
-    """The homomorphic images of one disjunct; with stop_early, at most one."""
-    extensions = instance._relations
-    slot_of: dict[Variable, int] = {}
-    values: list[set[str]] = []  # per slot: the values it took in the step that bound it
-    run: list[tuple] = []  # per step: facts or hash table, probe on the slots, slots bound
+def _images(disjunct: Disjunct, instance: Instance) -> Iterator[frozenset[GroundTuple]]:
+    """The homomorphic images of one disjunct, streamed: the plan and its
+    filters run when the first image is asked for."""
+    extensions, columns = instance._relations, instance._columns
+    place: dict[Variable, tuple[int, int]] = {}  # per variable: the step and position that bound it
+    values: dict[Variable, set[str]] = {}  # per variable: the values it took there
+    rows: Iterator[tuple] = iter([()])
 
     def rank(atom: QueryAtom) -> tuple:
-        bound = sum(isinstance(t, Constant) or t in slot_of for t in atom.terms)
+        bound = sum(isinstance(t, Constant) or t in place for t in atom.terms)
         return -bound, len(extensions.get((atom.relation, len(atom.terms)), ()))
 
     pending = list(disjunct.atoms)
-    while pending:
+    for step in range(len(pending)):
         atom = min(pending, key=rank)  # ties go to the earliest atom
         pending.remove(atom)
-        facts = extensions.get((atom.relation, len(atom.terms)), [])
-        joins: list[tuple[int, int]] = []
+        shape = (atom.relation, len(atom.terms))
+        facts = extensions.get(shape, [])
+        tests, joins, repeats = [], [], []
         first: dict[Variable, int] = {}
         for pos, term in enumerate(atom.terms):
             if isinstance(term, Constant):
-                facts = [f for f in facts if f.args[pos] == term.symbol]
-            elif term in slot_of:
-                allowed = values[slot_of[term]]
-                facts = [f for f in facts if f.args[pos] in allowed]
-                joins.append((pos, slot_of[term]))
+                tests.append((pos, {term.symbol}))
+            elif term in place:
+                tests.append((pos, values[term]))
+                joins.append((pos, place[term]))
             elif term in first:
-                facts = [f for f in facts if f.args[pos] == f.args[first[term]]]
+                repeats.append((pos, first[term]))
             else:
                 first[term] = pos
+        if tests and facts:
+            facts = _semijoin(columns, shape, facts, *tests[0])
+        for pos, allowed in tests[1:]:
+            facts = [f for f in facts if f.args[pos] in allowed]
+        for pos, other in repeats:
+            facts = [f for f in facts if f.args[pos] == f.args[other]]
         if not facts:
-            return set()
-        binds = []
+            return
         for term, pos in first.items():
-            slot_of[term] = len(values)
-            values.append({f.args[pos] for f in facts})
-            binds.append((slot_of[term], pos))
-        if not joins:
-            run.append((facts, None, binds))
-            continue
-        key = itemgetter(*(pos for pos, _ in joins))
-        table: dict = {}
-        for f in facts:
-            table.setdefault(key(f.args), []).append(f)
-        run.append((table, itemgetter(*(slot for _, slot in joins)), binds))
-    images: set[frozenset[GroundTuple]] = set()
-    _extend(run, 0, [None] * len(values), [], images, stop_early)
-    return images
+            place[term] = step, pos
+            values[term] = {f.args[pos] for f in facts}
+        rows = _extend(rows, facts, joins)
+    yield from map(frozenset, rows)
 
 
-def _extend(run, depth, slots, used, images, stop_early) -> bool:
-    """Add the images that extend `used` by one fact per step from `depth` on
-    (with stop_early, at most one); whether any was added."""
-    table, probe, binds = run[depth]
-    facts = table if probe is None else table.get(probe(slots), ())
-    if depth == len(run) - 1:  # the last step binds no slot that is read later
-        for fact in facts[:1] if stop_early else facts:
-            images.add(frozenset((*used, fact)))
-        return bool(facts)
-    for fact in facts:
-        for slot, pos in binds:
-            slots[slot] = fact.args[pos]
-        used.append(fact)
-        found = _extend(run, depth + 1, slots, used, images, stop_early)
-        used.pop()
-        if found and stop_early:
-            return True
-    return False
+def _semijoin(columns: dict, shape: tuple, facts: list, pos: int, allowed: set) -> list:
+    """The facts of a whole extension whose value at `pos` is allowed. The
+    first read filters the facts and marks the extension; the second builds
+    its columns, one tuple of values per position, and it and every later
+    read take one `compress` pass over a column."""
+    column = columns.get(shape)
+    if column is None:
+        columns[shape] = ()
+        return [f for f in facts if f.args[pos] in allowed]
+    if not column:
+        column = columns[shape] = tuple(zip(*map(itemgetter(1), facts)))
+    return list(compress(facts, map(allowed.__contains__, column[pos])))
+
+
+def _extend(rows: Iterator[tuple], facts: list, joins: list) -> Iterator[tuple]:
+    """Each row followed by each of the step's facts that it joins: with
+    joins, those a table of the facts hashed on the joined positions holds
+    under the values the row's facts have at the places that bound them."""
+    if not joins:
+        for row in rows:
+            for fact in facts:
+                yield (*row, fact)
+        return
+    key = itemgetter(*(pos for pos, _ in joins))
+    table: dict = {}
+    for f in facts:
+        table.setdefault(key(f.args), []).append(f)
+    if len(joins) == 1:
+        [(_, (step, pos))] = joins
+        probe = lambda row: row[step][1][pos]
+    else:
+        probe = lambda row: tuple([row[step][1][pos] for _, (step, pos) in joins])
+    for row in rows:
+        for fact in table.get(probe(row), ()):
+            yield (*row, fact)
 
 
 def evaluate(q: UCQ, instance: Instance) -> bool:
     """True iff some disjunct has a homomorphism into the full instance."""
-    return any(_images(d, instance, stop_early=True) for d in q.disjuncts)
+    return any(next(_images(d, instance), None) for d in q.disjuncts)  # no image is empty
 
 
 def support_family(q: UCQ, instance: Instance) -> SupportFamily:
@@ -162,8 +194,9 @@ def endogenous_support(q: UCQ, instance: Instance) -> SupportFamily:
     true independently of the endogenous tuples and the vacuous marker is
     returned: there are no causes in that case.
     """
-    images = set().union(*(_images(d, instance, stop_early=False) for d in q.disjuncts))
+    images = set().union(*(_images(d, instance) for d in q.disjuncts))
     projections = {s & instance.endo for s in images} if instance.exo else images
     if frozenset() in projections:
         return SupportFamily((), vacuous=True)
-    return SupportFamily(tuple(sorted(minimal_sets(projections), key=set_key)))
+    sets, members = _canonical_sets(minimal_sets(projections))
+    return SupportFamily(sets, _members=members)

@@ -451,7 +451,8 @@ def test_render_repairs_matches_filtering_the_instance(facts, data):
     removals = [frozenset(t for t, out in zip(ordered, mask) if out) for mask in masks]
     semantics = data.draw(st.sampled_from("sc"))
 
-    lines, payload = _render_repairs(instance, semantics, removals)
+    lines, _ = _render_repairs(instance, semantics, removals, False)
+    _, payload = _render_repairs(instance, semantics, removals, True)
 
     named = [(t, str(t)) for t in ordered]
     expected_lines, expected_repairs = [], []

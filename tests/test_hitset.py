@@ -381,6 +381,9 @@ def test_split_matches_a_plain_union_find(edges, isolated):
     assert not isolated & set(index)
     assert [components.index(c) for c in owner] == ref_owner
     assert [c.edges for c in components] == ref_edges
+    bare = Hypergraph(h.vertices, h.edges)  # no sorted members given: `_split` sorts each edge
+    assert bare == h and repr(bare) == repr(h)
+    assert bare._split[:2] == (order, index) and [c.edges for c in bare._split[3]] == ref_edges
 
 
 # Branch nodes of one encoded-graph responsibility question (9 vertices, 13 edges).

@@ -1,6 +1,7 @@
 """Query evaluation and support families."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from causekit import (
     parse_instance,
     support_family,
 )
-from causekit.support import minimal_sets
+from causekit.support import minimal_sets, set_key
 
 from fixtures import CHAIN_DB, CHAIN_Q, PQR_DB, PQR_UCQ, PQR_SPLIT_DB, SELFJOIN_DB, SELFJOIN_Q, fs, inst, ucq
 from randgen import random_instance, random_ucq
@@ -77,15 +78,44 @@ def test_vacuous_distinct_from_false():
     assert not fam.vacuous and fam.sets == ()
 
 
+def _family_and_truth(q, instance):
+    return support_family(q, instance), evaluate(q, instance)
+
+
+def _read_each_way(q, instance):
+    """The family and truth value, read three times on the instance, then
+    alternately on an all-exogenous copy and its all-endogenous view, the
+    view first and then the copy first. The join's first read of an extension
+    marks it, the second builds its columns and later reads reuse them; a view
+    shares them with its instance. Every read must agree with the first."""
+    first = _family_and_truth(q, instance)
+    reads = [_family_and_truth(q, instance) for _ in range(2)]
+    copies = []
+    for view_first in (True, False):
+        copy = Instance(frozenset(), instance.tuples)
+        view = copy.all_endogenous()
+        assert view is not copy and view._columns is copy._columns
+        reads += [_family_and_truth(q, x) for x in ((view, copy) if view_first else (copy, view)) * 2]
+        copies.append(copy)
+    assert all(read == first for read in reads)
+    for x in (instance, *copies):  # each column holds its extension's values at one position
+        for shape, columns in x._columns.items():
+            assert columns in ((), tuple(zip(*(f.args for f in x._relations[shape]))))
+    return first
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_family_invariants_on_random_instances(seed):
     rng = random.Random(900 + seed)
     instance = random_instance(rng, max_endo=8, max_exo=3)
     q = random_ucq(rng)
-    fam = support_family(q, instance)
+    fam, truth = _read_each_way(q, instance)
 
     # evaluation agrees with family emptiness
-    assert evaluate(q, instance) == bool(fam.sets)
+    assert truth == bool(fam.sets)
+
+    # the sorted members handed to the hypergraph are the sets' canonical keys
+    assert fam._members == tuple(map(set_key, fam.sets))
 
     # antichain: no member contains another
     for a in fam.sets:
@@ -122,13 +152,6 @@ def test_monotone_under_growth(seed):
 # --- join edge cases ---------------------------------------------------------
 
 
-def _family_and_truth(query, db):
-    """The support family as sorted fact names, and the query's truth value."""
-    q, instance = ucq(query), inst(db)
-    fam = support_family(q, instance)
-    return [sorted(str(t) for t in s) for s in fam.sets], evaluate(q, instance)
-
-
 @pytest.mark.parametrize(
     "query, db, expected",
     [
@@ -161,10 +184,42 @@ def _family_and_truth(query, db):
         ("q :- r(a,Y), s(Y).", "r(a,b). r(a,c). r(d,b). s(b).", [["r(a,b)", "s(b)"]]),
         ("q :- r(X,b), r(b,X).", "r(a,b). r(b,a). r(b,c).", [["r(a,b)", "r(b,a)"]]),
         ("q :- s(b), r(X,Y).", "s(a). r(a,b).", []),
+        # a repeated variable after a bound one
+        ("q :- s(X), t(X,Y,Y).", "s(a). s(b). t(a,c,c). t(a,c,d). t(b,d,d). t(e,f,f).",
+         [["s(a)", "t(a,c,c)"], ["s(b)", "t(b,d,d)"]]),
+        # both positions bound: r(Y,X) after r(X,Y)
+        ("q :- s(X), r(X,Y), r(Y,X).", "s(a). s(b). r(a,b). r(b,c). r(c,b). r(b,b).",
+         [["r(b,b)", "s(b)"], ["r(b,c)", "r(c,b)", "s(b)"]]),
     ],
 )
 def test_join_edge_cases(query, db, expected):
-    assert _family_and_truth(query, db) == (expected, bool(expected))
+    fam, truth = _read_each_way(ucq(query), inst(db))
+    assert [sorted(str(t) for t in s) for s in fam.sets] == expected
+    assert truth == bool(expected)
+
+
+def test_columns_are_built_on_the_second_filtered_read():
+    instance = inst("s(a). r(a,b). r(b,c).")
+    q = ucq("q :- s(X), r(X,Y).")
+    assert "_columns" not in vars(instance)  # nothing at parse
+    assert evaluate(q, instance) and instance._columns == {("r", 2): ()}  # a mark; s is never filtered
+    assert evaluate(q, instance)
+    assert sorted(zip(*instance._columns[("r", 2)])) == [("a", "b"), ("b", "c")]
+
+
+def test_evaluate_streams_the_join_steps():
+    # A cross product of 10^6 rows: the steps hand on one row at a time, so
+    # evaluation stops at the first image without holding a step's rows.
+    facts = [GroundTuple(r, (f"{r}{i}",)) for r in "ab" for i in range(1000)]
+    instance = Instance(frozenset(facts), frozenset())
+    q = ucq("q :- a(X), b(Y).")
+    tracemalloc.start()
+    try:
+        assert evaluate(q, instance)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_join_on_programmatic_arity_mismatch():
