@@ -66,74 +66,66 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, handler, help_, *, instance=True, query=True):
-        p = sub.add_parser(name, help=help_)
-        if instance:
+    def cmd(parent, name, handler, help_=None, *, files=True):
+        # Any `help`, even None, gives the command a line in its parent's help.
+        p = parent.add_parser(name, **({"help": help_} if help_ else {}))
+        if files:
             p.add_argument("--instance", required=True, metavar="FILE")
-        if query:
             p.add_argument("--query", required=True, metavar="FILE")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.set_defaults(handler=handler)
         return p
 
-    cmd("causes", _cmd_causes, "list the actual causes for the query answer")
+    cmd(sub, "causes", _cmd_causes, "list the actual causes for the query answer")
 
-    p = cmd("responsibility", _cmd_responsibility, "responsibility of one tuple")
+    p = cmd(sub, "responsibility", _cmd_responsibility, "responsibility of one tuple")
     p.add_argument("--tuple", required=True, metavar="T")
 
-    p = cmd("contingency", _cmd_contingency, "minimal contingency sets of one tuple")
+    p = cmd(sub, "contingency", _cmd_contingency, "minimal contingency sets of one tuple")
     p.add_argument("--tuple", required=True, metavar="T")
     p.add_argument("--limit", type=non_negative_int, metavar="N", help="abort beyond N result sets")
 
-    cmd("mrc", _cmd_mrc, "most responsible causes")
+    cmd(sub, "mrc", _cmd_mrc, "most responsible causes")
 
-    p = cmd("repairs", _cmd_repairs, "repairs with respect to the constraints")
+    p = cmd(sub, "repairs", _cmd_repairs, "repairs with respect to the constraints")
     p.add_argument("--semantics", choices=("s", "c"), default="s")
     p.add_argument("--limit", type=non_negative_int, metavar="N", help="abort beyond N repairs")
 
-    p = cmd("repair-check", _cmd_repair_check, "check a candidate subset repair")
+    p = cmd(sub, "repair-check", _cmd_repair_check, "check a candidate subset repair")
     p.add_argument("--candidate", required=True, metavar="FILE")
 
-    p = cmd("repair-size", _cmd_repair_size, "is there a repair of size >= M excluding T?")
+    p = cmd(sub, "repair-size", _cmd_repair_size, "is there a repair of size >= M excluding T?")
     p.add_argument("--tuple", required=True, metavar="T")
     p.add_argument("--min", required=True, type=int, metavar="M", dest="minimum")
 
-    p = cmd("cqa", _cmd_cqa, "consistent answer for a ground conjunction")
+    p = cmd(sub, "cqa", _cmd_cqa, "consistent answer for a ground conjunction")
     p.add_argument("--semantics", choices=("s", "c"), default="s")
     p.add_argument("--atoms", required=True, metavar="FILE")
 
-    p = cmd("diagnose", _cmd_diagnose, "minimal diagnoses for the observed query")
+    p = cmd(sub, "diagnose", _cmd_diagnose, "minimal diagnoses for the observed query")
     p.add_argument("--tuple", metavar="T")
     p.add_argument("--minimality", choices=("s", "c"), default="s")
 
-    cmd("emit-theory", _cmd_emit_theory, "print the diagnosis system description")
+    cmd(sub, "emit-theory", _cmd_emit_theory, "print the diagnosis system description")
 
-    p = cmd("encode-graph", _cmd_encode_graph, "encode a vertex-cover question as an instance",
-            instance=False, query=False)
+    p = cmd(sub, "encode-graph", _cmd_encode_graph, "encode a vertex-cover question as an instance",
+            files=False)
     p.add_argument("--graph", required=True, metavar="FILE")
     p.add_argument("--vertex", required=True, metavar="V")
 
     o = sub.add_parser("oracle", help="brute-force reference computations")
     osub = o.add_subparsers(dest="mode", required=True)
-
-    def oracle_cmd(name, handler, *, tuple_flag=False, semantics=False):
-        p = osub.add_parser(name)
-        p.add_argument("--instance", required=True, metavar="FILE")
-        p.add_argument("--query", required=True, metavar="FILE")
-        p.add_argument("--json", action="store_true")
+    cmd(osub, "causes", _cmd_oracle_causes)
+    p = cmd(osub, "responsibility", _cmd_oracle_responsibility)
+    p.add_argument("--tuple", required=True, metavar="T")
+    p = cmd(osub, "contingencies", _cmd_oracle_contingencies)
+    p.add_argument("--tuple", required=True, metavar="T")
+    p = cmd(osub, "repairs", _cmd_oracle_repairs)
+    p.add_argument("--semantics", choices=("s", "c"), default="s")
+    p = cmd(osub, "min-hs", _cmd_oracle_min_hs)
+    p.add_argument("--tuple", required=True, metavar="T")
+    for p in osub.choices.values():
         p.add_argument("--cap", type=non_negative_int, default=oracle.DEFAULT_CAP, metavar="N")
-        if tuple_flag:
-            p.add_argument("--tuple", required=True, metavar="T")
-        if semantics:
-            p.add_argument("--semantics", choices=("s", "c"), default="s")
-        p.set_defaults(handler=handler)
-        return p
-
-    oracle_cmd("causes", _cmd_oracle_causes)
-    oracle_cmd("responsibility", _cmd_oracle_responsibility, tuple_flag=True)
-    oracle_cmd("contingencies", _cmd_oracle_contingencies, tuple_flag=True)
-    oracle_cmd("repairs", _cmd_oracle_repairs, semantics=True)
-    oracle_cmd("min-hs", _cmd_oracle_min_hs, tuple_flag=True)
 
     return parser
 

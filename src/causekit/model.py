@@ -99,12 +99,12 @@ class Instance:
         return {(g[0].relation, len(g[0].args)): g for g in groups}
 
     @cached_property
-    def _columns(self) -> dict[tuple[str, int], tuple]:
-        """The join's columns by (relation, arity): each extension's values
-        per position, built by `support` on its second filtered read (the
-        first leaves `()` as a mark). Shared with the all-endogenous view;
-        outside equality. Every value written is a correct one, so racing
-        readers at worst build a column twice."""
+    def _columns(self) -> dict[tuple[str, int, int], tuple]:
+        """The join's columns by (relation, arity, position): an extension's
+        values at one position, built by `support` the first time that
+        position is filtered. Shared with the all-endogenous view; outside
+        equality. Every value written is a correct one, so racing readers at
+        worst build a column twice."""
         return {}
 
     def arities(self) -> dict[str, int]:

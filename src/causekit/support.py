@@ -11,21 +11,19 @@ earlier), then smallest extension, then atom index. Each `Instance`
 partitions its tuples by (relation, arity) once, as unsorted lists. A step
 filters its atom's extension (semijoin) on each bound position, against the
 constant or the values the variable took in the step that bound it. The
-first filter scans the whole extension; later ones scan the survivors. From
-an extension's second filtered read on, that scan is one `compress` pass
-over a column (the extension's values at one position) with the test in C.
-Columns are built on that second read, never at parse nor on the first, so
-an instance read once (a CLI request) builds none, and they outlive the
-call, kept on the instance and shared with its all-endogenous view, because
-several questions read one instance; they hold one reference per fact and
-position. The survivors are hashed on their joined positions, and these
-probe tables never outlive the call: whole per-instance tables would raise
-peak memory. Each step is a generator that extends the rows of the step
-before by probing its table, so no step's rows are held and `evaluate`
-stops at the first image. The images are cut to their minimal members
-(`minimal_sets`), each tested against the strictly shorter kept sets filed
-under its members; the shortest are never tested. One sort puts them in
-canonical order and gives the hypergraph each one's sorted members.
+first filter is one `compress` pass over a column (the extension's values
+at that position) with the test in C; later ones scan the survivors. A
+position's column is built the first time it is filtered, never at parse,
+and outlives the call, kept on the instance and shared with its
+all-endogenous view, because several questions read one instance; it holds
+one reference per fact. The survivors are hashed on their joined positions,
+and these probe tables never outlive the call: whole per-instance tables
+would raise peak memory. Each step is a generator that extends the rows of
+the step before by probing its table, so no step's rows are held and
+`evaluate` stops at the first image. The images are cut to their minimal
+members (`minimal_sets`), each tested against the strictly shorter kept
+sets filed under its members; the shortest are never tested. One sort puts
+them in canonical order and gives the hypergraph each one's sorted members.
 """
 
 from __future__ import annotations
@@ -139,17 +137,14 @@ def _images(disjunct: Disjunct, instance: Instance) -> Iterator[frozenset[Ground
 
 
 def _semijoin(columns: dict, shape: tuple, facts: list, pos: int, allowed: set) -> list:
-    """The facts of a whole extension whose value at `pos` is allowed. The
-    first read filters the facts and marks the extension; the second builds
-    its columns, one tuple of values per position, and it and every later
-    read take one `compress` pass over a column."""
-    column = columns.get(shape)
+    """The facts of a whole extension whose value at `pos` is allowed: one
+    `compress` pass over that position's column, built from the extension
+    the first time the position is filtered."""
+    key = (*shape, pos)
+    column = columns.get(key)
     if column is None:
-        columns[shape] = ()
-        return [f for f in facts if f.args[pos] in allowed]
-    if not column:
-        column = columns[shape] = tuple(zip(*map(itemgetter(1), facts)))
-    return list(compress(facts, map(allowed.__contains__, column[pos])))
+        column = columns[key] = tuple(map(itemgetter(pos), map(itemgetter(1), facts)))
+    return list(compress(facts, map(allowed.__contains__, column)))
 
 
 def _extend(rows: Iterator[tuple], facts: list, joins: list) -> Iterator[tuple]:

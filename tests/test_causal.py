@@ -241,6 +241,8 @@ def test_encode_graph_validates():
         encode_graph(["a"], [], "b")
     with pytest.raises(CausekitError):
         encode_graph(["a"], [("a", "a")], "a")
+    with pytest.raises(CausekitError, match=r"edge \('a','c'\) mentions unknown vertices"):
+        encode_graph(["a", "b"], [("a", "c")], "a")
 
 
 def test_star_graph_responsibility_counts_essential_covers_only():

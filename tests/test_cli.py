@@ -30,6 +30,12 @@ def files(tmp_path):
         "atoms_pe.db": "p(e).",
         "atoms_pa.db": "p(a).",
         "graph.txt": "u v\n",
+        "lone.txt": "u v\nw\n",
+        "three.txt": "u v w\n",
+        "chain.dc": ":- s(X), r(X,Y), s(Y).",
+        "p.dc": ":- p(X).",
+        "pqr.q": "q :- p(X), q(X,Y).  q :- p(X), r(X,Y).",
+        "exo.db": "s(a1). [exogenous] s(a3). r(a3,a3).",
     }.items():
         path = tmp_path / name
         path.write_text(text)
@@ -207,6 +213,18 @@ def test_json_output_is_byte_stable(files, capsys):
     assert len(outputs) == 1
 
 
+DOMAIN_ERRORS = [
+    (["repair-size", "--instance", "pqr.db", "--query", "pqr.dc", "--tuple", "p(a)", "--min", "1"],
+     "expected exactly one constraint, found 2"),
+    (["diagnose", "--instance", "pqr.db", "--query", "pqr.q"],
+     "expected a single conjunctive query, found 2 disjuncts"),
+    (["cqa", "--instance", "pqr.db", "--query", "pqr.dc", "--atoms", "empty.db"],
+     "the atoms file contains no facts"),
+    (["encode-graph", "--graph", "three.txt", "--vertex", "u"],
+     "graph file line 1: expected 'u v' or a lone vertex"),
+]
+
+
 def test_domain_error_exits_one(files, capsys):
     code, _, err = run(
         capsys, "responsibility", "--instance", files["chain.db"], "--query", files["chain.q"],
@@ -217,6 +235,8 @@ def test_domain_error_exits_one(files, capsys):
         capsys, "causes", "--instance", "no-such-file.db", "--query", files["chain.q"]
     )
     assert code == 1
+    for argv, message in DOMAIN_ERRORS:
+        assert run(capsys, *(files.get(a, a) for a in argv)) == (1, "", f"error: {message}\n")
 
 
 def test_resource_limit_message(files, tmp_path, capsys):
@@ -324,6 +344,37 @@ TEXT_CASES = {
         ["diagnose", "--instance", "chain.db", "--query", "chain.q", "--tuple", "s(a4)",
          "--minimality", "c"],
         "{r(a3,a3), s(a4)}\n",
+    ),
+    "diagnose-json-constraint": (
+        ["diagnose", "--instance", "chain.db", "--query", "chain.dc", "--json"],
+        '{"minimality":"s","diagnoses":[["r(a3,a3)","r(a4,a3)"],["r(a3,a3)","s(a4)"],["s(a3)"]]}\n',
+    ),
+    "emit-theory-constraint": (
+        ["emit-theory", "--instance", "atoms_pa.db", "--query", "p.dc"],
+        "% (a) predicate completion and unique names\n"
+        "forall x1 (p(x1) <-> x1 = a)\n"
+        "forall x1 (end_p(x1) <-> x1 = a)\n"
+        "% (b) constraint under normality assumptions\n"
+        "forall X ~(p(X) /\\ end_p(X) /\\ ~ab_p(X))\n"
+        "% (c) inclusion dependencies\n"
+        "forall x1 (ab_p(x1) -> p(x1))\n"
+        "forall x1 (end_p(x1) -> p(x1))\n"
+        "forall x1 (ab_p(x1) -> end_p(x1))\n"
+        "% normality defaults\n"
+        "forall x1 (ab_p(x1) -> false)\n",
+    ),
+    "mrc-json-vacuous": (
+        ["mrc", "--instance", "exo.db", "--query", "chain.q", "--json"],
+        '{"most_responsible":[],"responsibility":"0/1"}\n',
+    ),
+    "encode-graph-lone-vertex": (
+        ["encode-graph", "--graph", "lone.txt", "--vertex", "w"],
+        "edges(u,v,1).\nedges(u,v,2).\nedges(u,v,3).\nver(u).\nver(v).\nver(w).\n\n"
+        "q :- ver(V1), ver(V2), edges(V1,V2,E).\n\nver(w)\n",
+    ),
+    "oracle-causes": (
+        ["oracle", "causes", "--instance", "chain.db", "--query", "chain.q"],
+        "r(a3,a3)\nr(a4,a3)\ns(a3)\ns(a4)\n",
     ),
     "oracle-repairs": (
         ["oracle", "repairs", "--instance", "pqr.db", "--query", "pqr.dc"],

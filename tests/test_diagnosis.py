@@ -64,6 +64,15 @@ def test_theory_for_empty_instance():
     assert "forall x1 x2 (r(x1,x2) <-> false)" in problem.sd_text
 
 
+def test_theory_for_a_ground_query():
+    problem = build(inst("s(a). r(a,b)."), ucq("q :- s(a), r(a,b).").disjuncts[0])
+    assert (
+        "% (b) constraint under normality assumptions\n"
+        "~(s(a) /\\ end_s(a) /\\ ~ab_s(a) /\\ r(a,b) /\\ end_r(a,b) /\\ ~ab_r(a,b))\n"
+        "% (c)"
+    ) in problem.sd_text
+
+
 def test_all_exogenous_leaves_no_diagnoses():
     problem = build(parse_instance("[exogenous] s(a3). s(a4). r(a4,a3)."), ucq(CHAIN_Q).disjuncts[0])
     assert "forall x1 (end_s(x1) <-> false)" in problem.sd_text

@@ -459,6 +459,14 @@ def test_extension_on_single_edge():
     assert [min_hs_size(e) for e in exts] == [1]
 
 
+def test_extension_takes_a_label_no_vertex_has():
+    # b's duplicate cannot be called b' here: that label is taken.
+    g = hg({"a", "b"}, {"b'", "c"})
+    [ext] = extend_for_vertex(g, "a")
+    assert ext.vertices == g.vertices | {"b''"}
+    assert set(ext.edges) == set(g.edges) | {frozenset({"b''", "a"})}
+
+
 def test_extension_rejects_isolated_and_unknown():
     g = Hypergraph.build({"a", "b", "c"}, [frozenset({"a", "b"})])
     with pytest.raises(CausekitError, match="isolated"):

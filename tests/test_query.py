@@ -8,6 +8,7 @@ from causekit import (
     UCQ,
     Constant,
     DenialConstraint,
+    Disjunct,
     ParseError,
     Variable,
     actual_causes,
@@ -18,6 +19,7 @@ from causekit import (
     parse_program,
 )
 from causekit.errors import CausekitError
+from causekit.query import format_program
 
 from fixtures import CHAIN_Q, PQR_DB, PQR_DCS, inst
 
@@ -45,6 +47,32 @@ def test_parse_smallest_program():
 def test_constants_allowed_in_atoms():
     q = parse_program("q :- r(X, a3).")
     assert q.disjuncts[0].atoms[0].terms[1] == Constant("a3")
+    # a quoted constant stays a constant, even when it reads like a variable
+    q = parse_program('q :- r(X, "A b").')
+    assert q.disjuncts[0].atoms[0].terms[1] == Constant("A b")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['q :- r(X,"A b"), s(X).\nq :- r(a,X).\n', ":- p(X), q(X,Y).\n:- p(X), r(X,Y).\n"],
+    ids=["query-quoted-constant", "constraints"],
+)
+def test_format_program_round_trips(text):
+    assert format_program(parse_program(text)) == text
+
+
+@pytest.mark.parametrize(
+    "cls, message",
+    [
+        (Disjunct, "a query disjunct needs at least one atom"),
+        (UCQ, "a union query needs at least one disjunct"),
+        (DenialConstraint, "a denial constraint needs at least one atom"),
+    ],
+    ids=["disjunct", "union", "constraint"],
+)
+def test_empty_bodies_rejected(cls, message):
+    with pytest.raises(CausekitError, match=message):
+        cls(())
 
 
 def test_empty_program_rejected():

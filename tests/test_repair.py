@@ -74,6 +74,12 @@ def test_repairs_ex4():
     assert kept_sets(repairs(instance, dcs(PQR_DCS), "c")) == {fs("p(e)", "q(a,b)", "r(a,c)")}
 
 
+def test_unknown_semantics_rejected(ex1):
+    instance, constraint = ex1
+    with pytest.raises(CausekitError, match="unknown repair semantics 'x'; use 's' or 'c'"):
+        repairs(instance, [constraint], "x")
+
+
 def test_difference_sets(ex1):
     instance, constraint = ex1
     assert difference_sets(instance, constraint, f("r(a4,a3)"), "s") == [

@@ -85,9 +85,10 @@ def _family_and_truth(q, instance):
 def _read_each_way(q, instance):
     """The family and truth value, read three times on the instance, then
     alternately on an all-exogenous copy and its all-endogenous view, the
-    view first and then the copy first. The join's first read of an extension
-    marks it, the second builds its columns and later reads reuse them; a view
-    shares them with its instance. Every read must agree with the first."""
+    view first and then the copy first. The join builds a position's column
+    the first time it filters that position, and later reads reuse it; a view
+    shares the columns with its instance. Every read must agree with the
+    first."""
     first = _family_and_truth(q, instance)
     reads = [_family_and_truth(q, instance) for _ in range(2)]
     copies = []
@@ -99,8 +100,8 @@ def _read_each_way(q, instance):
         copies.append(copy)
     assert all(read == first for read in reads)
     for x in (instance, *copies):  # each column holds its extension's values at one position
-        for shape, columns in x._columns.items():
-            assert columns in ((), tuple(zip(*(f.args for f in x._relations[shape]))))
+        for (relation, arity, pos), column in x._columns.items():
+            assert column == tuple(f.args[pos] for f in x._relations[relation, arity])
     return first
 
 
@@ -198,13 +199,17 @@ def test_join_edge_cases(query, db, expected):
     assert truth == bool(expected)
 
 
-def test_columns_are_built_on_the_second_filtered_read():
+def test_a_column_is_built_for_each_filtered_position_on_its_first_read():
     instance = inst("s(a). r(a,b). r(b,c).")
     q = ucq("q :- s(X), r(X,Y).")
     assert "_columns" not in vars(instance)  # nothing at parse
-    assert evaluate(q, instance) and instance._columns == {("r", 2): ()}  # a mark; s is never filtered
     assert evaluate(q, instance)
-    assert sorted(zip(*instance._columns[("r", 2)])) == [("a", "b"), ("b", "c")]
+    # r is filtered at position 0 only; s and r's position 1 never are
+    column = instance._columns[("r", 2, 0)]
+    assert list(instance._columns) == [("r", 2, 0)]
+    assert sorted(column) == ["a", "b"]
+    assert evaluate(q, instance)
+    assert list(instance._columns) == [("r", 2, 0)] and instance._columns[("r", 2, 0)] is column
 
 
 def test_evaluate_streams_the_join_steps():
