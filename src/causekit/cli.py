@@ -115,14 +115,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="brute-force reference computations")
     osub = o.add_subparsers(dest="mode", required=True)
-    cmd(osub, "causes", _cmd_oracle_causes)
-    p = cmd(osub, "responsibility", _cmd_oracle_responsibility)
+    cmd(osub, "causes", _cmd_oracle_causes, "actual causes for the query answer")
+    p = cmd(osub, "responsibility", _cmd_oracle_responsibility, "responsibility of one tuple")
     p.add_argument("--tuple", required=True, metavar="T")
-    p = cmd(osub, "contingencies", _cmd_oracle_contingencies)
+    p = cmd(osub, "contingencies", _cmd_oracle_contingencies, "minimal contingency sets of one tuple")
     p.add_argument("--tuple", required=True, metavar="T")
-    p = cmd(osub, "repairs", _cmd_oracle_repairs)
+    p = cmd(osub, "repairs", _cmd_oracle_repairs, "repairs with respect to the constraints")
     p.add_argument("--semantics", choices=("s", "c"), default="s")
-    p = cmd(osub, "min-hs", _cmd_oracle_min_hs)
+    p = cmd(osub, "min-hs", _cmd_oracle_min_hs, "least size of a minimal hitting set through one tuple")
     p.add_argument("--tuple", required=True, metavar="T")
     for p in osub.choices.values():
         p.add_argument("--cap", type=non_negative_int, default=oracle.DEFAULT_CAP, metavar="N")
@@ -227,9 +227,10 @@ def _render_repairs(instance, semantics, removals, as_json):
     """Repairs given by their removed sets, in the given order: the JSON text
     with `as_json`, else lazy text lines (the other one is None). Each repair
     cuts its removed positions out of one canonically ordered list of tuple
-    names, or of the same names encoded once as JSON strings (escaped as
+    names (sorted from the file's order, `_read`, when the instance kept it),
+    or of the same names encoded once as JSON strings (escaped as
     `json.dumps` escapes them); the JSON text is one join of those pieces."""
-    ordered = canonical_sort(instance.tuples)
+    ordered = canonical_sort(vars(instance).get("_read") or instance.tuples)
     position = dict(zip(ordered, range(len(ordered))))
     names = list(map(str, ordered))
     cuts = [sorted(map(position.__getitem__, removed)) for removed in removals]
@@ -291,9 +292,10 @@ def _cmd_repairs(args):
 
 def _cmd_repair_check(args):
     instance, dcs = _load_query(args, _as_dcs)
-    candidate = parse_instance(_read(args.candidate)).tuples
-    verdict = repair.is_s_repair(instance, dcs, candidate)
-    return [str(verdict).lower()], {"candidate": _tuple_list(candidate), "is_s_repair": verdict}
+    candidate = parse_instance(_read(args.candidate))
+    verdict = repair.is_s_repair(instance, dcs, candidate.tuples)
+    names = _tuple_list(vars(candidate).get("_read") or candidate.tuples)
+    return [str(verdict).lower()], {"candidate": names, "is_s_repair": verdict}
 
 
 def _cmd_repair_size(args):

@@ -89,12 +89,13 @@ class Instance:
 
     @cached_property
     def _relations(self) -> dict[tuple[str, int], list[GroundTuple]]:
-        """The tuples by (relation, arity), unsorted, as the join reads them.
+        """The tuples by (relation, arity), as the join reads them: in the text
+        order `parse_instance` keeps as `_read` (never dropped, so threads that
+        group at once agree, as the shared columns need), else in set order.
         Grouped when first read, by a stable sort on the relation name (each
-        has one arity), and shared with the all-endogenous view; outside
-        equality."""
+        has one arity), and shared with the all-endogenous view; outside equality."""
         relation = itemgetter(0)
-        ordered = sorted(chain(self.endo, self.exo), key=relation)
+        ordered = sorted(vars(self).get("_read") or chain(self.endo, self.exo), key=relation)
         groups = [list(group) for _, group in groupby(ordered, relation)]
         return {(g[0].relation, len(g[0].args)): g for g in groups}
 
@@ -158,6 +159,7 @@ def _read_facts(text: str) -> Instance | None:
     sections, rels, args = pieces[1::4], pieces[2::4], pieces[3::4]
     endo: set[GroundTuple] = set()
     exo: set[GroundTuple] = set()
+    read: list[GroundTuple] = []  # every section run's facts, in text order
     firsts: dict[tuple[str, str], None] = {}
     # The facts after each header (or before any, at -1) are one run, read by maps in C.
     heads = [-1, *compress(range(len(sections)), sections)]
@@ -168,14 +170,19 @@ def _read_facts(text: str) -> Instance | None:
         firsts.update(dict.fromkeys(zip(lowered, spelled)))
         # tuple.__new__ skips the NamedTuple's generated __new__, a Python function.
         argss = map(tuple, map(str.split, args[head + 1:end], repeat(",")))
-        target.update(map(tuple.__new__, repeat(GroundTuple), zip(lowered, argss)))
+        run = list(map(tuple.__new__, repeat(GroundTuple), zip(lowered, argss)))
+        target.update(run)
+        read += run
     spelling: dict[str, str] = {}
     for relation, rel in firsts:
         spelling.setdefault(relation, rel)
     try:
-        return Instance(frozenset(endo), frozenset(exo), spelling)
+        instance = Instance(frozenset(endo), frozenset(exo), spelling)
     except CausekitError:  # an arity conflict or a fact in both sections
         return None
+    if len(read) == len(instance):  # no fact repeats: `_relations` and the CLI read this order
+        vars(instance)["_read"] = read
+    return instance
 
 
 def _parse_tokens(text: str) -> Instance:

@@ -8,7 +8,8 @@ hyperedges every cause computation hits against.
 Homomorphisms come from a join planned per disjunct and call: atoms are
 taken greedily by most bound positions (constants or variables bound
 earlier), then smallest extension, then atom index. Each `Instance`
-partitions its tuples by (relation, arity) once, as unsorted lists. A step
+partitions its tuples by (relation, arity) once, as lists in text order
+(`Instance._relations`), so the join's order is not the hash seed's. A step
 filters its atom's extension (semijoin) on each bound position, against the
 constant or the values the variable took in the step that bound it. The
 first filter is one `compress` pass over a column (the extension's values
@@ -29,7 +30,7 @@ them in canonical order and gives the hypergraph each one's sorted members.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, groupby
+from itertools import chain, compress, groupby
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -189,8 +190,8 @@ def endogenous_support(q: UCQ, instance: Instance) -> SupportFamily:
     true independently of the endogenous tuples and the vacuous marker is
     returned: there are no causes in that case.
     """
-    images = set().union(*(_images(d, instance) for d in q.disjuncts))
-    projections = {s & instance.endo for s in images} if instance.exo else images
+    images = dict.fromkeys(chain.from_iterable(_images(d, instance) for d in q.disjuncts))
+    projections = dict.fromkeys(s & instance.endo for s in images) if instance.exo else images
     if frozenset() in projections:
         return SupportFamily((), vacuous=True)
     sets, members = _canonical_sets(minimal_sets(projections))

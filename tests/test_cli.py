@@ -203,6 +203,32 @@ def test_oracle_subcommands(files, capsys):
     assert json.loads(out) == {"tuple": "r(a4,a3)", "min_hs_size": 2}
 
 
+ORACLE_HELP = """\
+usage: causekit oracle [-h]
+                       {causes,responsibility,contingencies,repairs,min-hs}
+                       ...
+
+positional arguments:
+  {causes,responsibility,contingencies,repairs,min-hs}
+    causes              actual causes for the query answer
+    responsibility      responsibility of one tuple
+    contingencies       minimal contingency sets of one tuple
+    repairs             repairs with respect to the constraints
+    min-hs              least size of a minimal hitting set through one tuple
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_oracle_help_says_what_each_subcommand_does(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (ORACLE_HELP, "")
+
+
 def test_json_output_is_byte_stable(files, capsys):
     outputs = set()
     for _ in range(3):

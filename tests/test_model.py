@@ -292,6 +292,39 @@ def test_every_edit_of_a_small_text_reads_the_same(text):
                 assert _outcome(parse_instance, edited) == _outcome(model._parse_tokens, edited), edited
 
 
+_plain_facts = st.builds(
+    lambda relation, args: GroundTuple(relation, tuple(args[: _ARITY[relation]])),
+    st.sampled_from(sorted(_ARITY)),
+    st.lists(st.sampled_from(_PLAIN), min_size=3, max_size=3),
+)
+
+
+@given(st.lists(_plain_facts, unique=True, max_size=12), st.data())
+def test_each_extension_lists_its_facts_in_text_order(facts, data):
+    # Two sections of shuffled facts, sometimes with one fact written twice in
+    # its section: then the extensions fall back to set order.
+    facts = data.draw(st.permutations(facts))
+    cut = data.draw(st.integers(0, len(facts)))
+    sections = [facts[:cut], facts[cut:]]
+    if facts and data.draw(st.booleans()):
+        again = data.draw(st.sampled_from(facts))
+        own = sections[again not in sections[0]]
+        own.insert(data.draw(st.integers(0, len(own))), again)
+    endo, exo = ([f"{t}." for t in section] for section in sections)
+    instance = parse_instance("\n".join([*endo, "[exogenous]", *exo]))
+    repeated = len(endo) + len(exo) > len(facts)
+    expected: dict = {}
+    for t in [*instance.endo, *instance.exo] if repeated else sections[0] + sections[1]:
+        expected.setdefault((t.relation, len(t.args)), []).append(t)
+    view = instance.all_endogenous()  # groups the extensions on this instance's behalf
+    assert view._relations is instance._relations
+    assert instance._relations == expected
+    written = parse_instance(serialize_instance(instance))
+    for extension in written._relations.values():
+        runs = [t for t in extension if t in written.endo], [t for t in extension if t in written.exo]
+        assert extension == canonical_sort(runs[0]) + canonical_sort(runs[1])
+
+
 def test_ground_tuple_is_a_plain_tuple_pair():
     t = GroundTuple("p", ("a",))
     assert t == ("p", ("a",)) and len(t) == 2 and isinstance(t, tuple)

@@ -1,8 +1,12 @@
 """Query evaluation and support families."""
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -347,3 +351,29 @@ def test_minimal_sets_with_many_sets_of_one_size():
     kept = minimal_sets(sets)
     assert kept == _naive_minimal(sets)
     assert len(kept) == 17 and kept[0] == frozenset("ab")
+
+
+# The images of a chain query on a parsed two-section instance, in the order
+# the join emits them, each written in canonical order.
+_IMAGE_ORDER = """
+from causekit import parse_instance, parse_program
+from causekit.support import _images
+text = " ".join(f"s(a{i}). r(a{i},a{3 * i % 17}). r(a{i},a{5 * i % 17})." for i in range(1, 17))
+instance = parse_instance(text + " [exogenous] s(b). r(b,a1). r(a2,b).")
+[query] = parse_program("q :- s(X), r(X,Y), s(Y).").disjuncts
+for image in _images(query, instance):
+    print(*sorted(image))
+"""
+
+
+def test_join_order_does_not_follow_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(seed):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
+        return subprocess.run([sys.executable, "-c", _IMAGE_ORDER], env=env, check=True,
+                              capture_output=True, text=True, timeout=60).stdout.splitlines()
+
+    first = run(1)
+    assert len(first) == 34 and run(4) == first
