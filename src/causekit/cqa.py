@@ -1,18 +1,18 @@
 """Consistent answers for ground conjunctions via the cause connection.
 
 A ground conjunction holds in every subset repair exactly when none of its
-atoms is an actual cause for the violation view; under cardinality repairs,
-when none is a most responsible cause. Both are read off the violation
-hypergraph that the repairs hit. Only projection-free, fully ground queries
-are supported.
+atoms lies in an edge of the violation hypergraph that the repairs hit (is an
+actual cause for the violation view); under cardinality repairs, when none is
+a most responsible cause: one MRCD search per atom, in the atom's component.
+Only projection-free, fully ground queries are supported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .causal import _most_responsible
 from .errors import CausekitError
+from .hitset import in_minimum_hs
 from .model import GroundTuple, Instance
 from .query import DenialConstraint
 from .repair import _violations, check_semantics
@@ -42,5 +42,7 @@ def consistent_answer(
     """
     semantics = check_semantics(semantics)
     violations = _violations(instance, constraints)
-    excluded = frozenset().union(*violations.edges) if semantics == "s" else _most_responsible(violations)[0]
+    if semantics == "c":  # excluded when some minimum repair removes it: the MRCD decision
+        return all(a in violations.vertices and not in_minimum_hs(violations, a) for a in g.atoms)
+    excluded = frozenset().union(*violations.edges)
     return all(a in violations.vertices and a not in excluded for a in g.atoms)

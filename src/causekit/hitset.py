@@ -66,11 +66,10 @@ class Hypergraph:
         members = self._members if self._members is not None else list(map(sorted, self.edges))
         order = list(dict.fromkeys(chain.from_iterable(members)))
         index = dict(zip(order, range(len(order))))
-        bits = [1 << i for i in range(len(order))]
         parent, through, masks, roots = list(range(len(order))), [[] for _ in order], [], []
         for e in members:
             ids = list(map(index.__getitem__, e))
-            masks.append(mask := sum(map(bits.__getitem__, ids)))
+            masks.append(mask := sum(map((1).__lshift__, ids)))
             first = -1
             for i in ids:
                 through[i].append(mask)
@@ -83,11 +82,10 @@ class Hypergraph:
             while parent[i] != i:
                 parent[i] = i = parent[parent[i]]
             roots.append(i)
-        incidence = dict(zip(bits, through))  # each wide bit is hashed once
         groups: dict = {}
         for mask in masks:
             groups.setdefault(roots[mask.bit_length() - 1], []).append(mask)
-        components = {r: _Component(group, incidence) for r, group in groups.items()}
+        components = {r: _Component(group, through) for r, group in groups.items()}
         return order, index, list(map(components.__getitem__, roots)), list(components.values())
 
 
@@ -182,11 +180,11 @@ def _locate(h: Hypergraph, t: Optional[Vertex]) -> tuple[int, Optional[_Componen
 
 class _Component:
     """One connected component's edges as int masks, with the edges through
-    each vertex (a map shared by all components) and the vertices common to
-    all its edges (`common`). Its one search is MMCS."""
+    each vertex (a list by bit position, shared by all components) and the
+    vertices common to all its edges (`common`). Its one search is MMCS."""
 
-    def __init__(self, edges: list[int], incidence: dict[int, list[int]]):
-        self.edges, self.incidence = edges, incidence
+    def __init__(self, edges: list[int], through: list[list[int]]):
+        self.edges, self.through = edges, through
         self.common = reduce(int.__and__, edges)
 
     @cached_property
@@ -259,8 +257,8 @@ class _Component:
             grown = s | v
             # Only members that an edge through v was private to can have lost
             # their last private edge.
-            lost = (u for u in (e & s for e in self.incidence[v]) if u and not u & (u - 1))
-            if all(any(e & grown == u for e in self.incidence[u]) for u in lost):
+            lost = (u for u in (e & s for e in self.through[v.bit_length() - 1]) if u and not u & (u - 1))
+            if all(any(e & grown == u for e in self.through[u.bit_length() - 1]) for u in lost):
                 yield grown, candidates, [e for e in uncovered if not e & v], room - 1
             candidates |= v
 

@@ -40,6 +40,21 @@ def random_ucq(rng: random.Random, max_disjuncts: int = 3, max_atoms: int = 3) -
     return UCQ(tuple(disjuncts))
 
 
+def pqr_instance(rng: random.Random, keys: int) -> Instance:
+    """An all-endogenous instance in the shape of the constraints
+    `:- p(X), q(X,Y).` and `:- p(X), r(X,Y).`: per key one p fact, 1-3 q facts
+    and, with probability 1/2, an r fact, so each key is its own violation
+    component. 3 000 keys with seed 1 give 10 562 tuples."""
+    facts = []
+    for k in range(keys):
+        x = f"k{k}"
+        facts.append(GroundTuple("p", (x,)))
+        facts += [GroundTuple("q", (x, f"y{j}")) for j in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            facts.append(GroundTuple("r", (x, "z")))
+    return Instance(frozenset(facts), frozenset())
+
+
 def random_graph(rng: random.Random, max_vertices: int):
     """A simple graph with at least one edge; returns (vertices, edges)."""
     n = rng.randint(2, max_vertices)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import chain, combinations
 from pathlib import Path
 
@@ -22,6 +23,10 @@ from causekit import (
 )
 from causekit import oracle
 from causekit.hitset import _Component, in_minimum_hs
+from causekit.repair import _violations
+
+from fixtures import PQR_DCS, dcs
+from randgen import pqr_instance
 
 
 def hg(*edges, vertices=()):
@@ -381,9 +386,28 @@ def test_split_matches_a_plain_union_find(edges, isolated):
     assert not isolated & set(index)
     assert [components.index(c) for c in owner] == ref_owner
     assert [c.edges for c in components] == ref_edges
+    # Each position lists the edges through its vertex, by mask, in canonical edge order.
+    masks = [sum(1 << index[v] for v in e) for e in h.edges]
+    for i, v in enumerate(order):
+        assert owner[i].through[i] == [m for m, e in zip(masks, h.edges) if v in e]
     bare = Hypergraph(h.vertices, h.edges)  # no sorted members given: `_split` sorts each edge
     assert bare == h and repr(bare) == repr(h)
     assert bare._split[:2] == (order, index) and [c.edges for c in bare._split[3]] == ref_edges
+
+
+def test_split_memory_follows_the_edges():
+    # 10 562 tuples, 7 562 edges, one component per key. The split holds one
+    # mask per edge and each position's list of edges; a further table of the
+    # one-bit masks, one per vertex and each up to 10 562 bits, adds about 8 MB.
+    h = _violations(pqr_instance(random.Random(1), 3000), dcs(PQR_DCS))
+    assert len(h.edges) == 7562 and "_split" not in vars(h)
+    tracemalloc.start()
+    try:
+        h._split
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13_000_000
 
 
 # Branch nodes of one encoded-graph responsibility question (9 vertices, 13 edges).
