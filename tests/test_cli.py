@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,35 +13,14 @@ from hypothesis import given, strategies as st
 from causekit import GroundTuple, Instance, canonical_sort, serialize_instance
 from causekit.cli import _render_repairs, main
 
-from fixtures import CHAIN_DB, CHAIN_Q, PQR_DB, PQR_DCS, TRIO_SPLIT_DB, M8_DB, M8_Q
+from cli_requests import FILES, REQUESTS, write_files
+from randgen import pqr_instance
 
 
 @pytest.fixture
 def files(tmp_path):
-    paths = {}
-    for name, text in {
-        "chain.db": CHAIN_DB,
-        "chain.q": CHAIN_Q,
-        "pqr.db": PQR_DB,
-        "pqr.dc": PQR_DCS,
-        "trio.db": TRIO_SPLIT_DB,
-        "empty.db": "",
-        "d1.db": "s(a4). s(a2). r(a4,a3). r(a2,a1). r(a3,a3).",
-        "notmax.db": "s(a2). r(a4,a3). r(a2,a1). r(a3,a3).",
-        "atoms_pe.db": "p(e).",
-        "atoms_pa.db": "p(a).",
-        "graph.txt": "u v\n",
-        "lone.txt": "u v\nw\n",
-        "three.txt": "u v w\n",
-        "chain.dc": ":- s(X), r(X,Y), s(Y).",
-        "p.dc": ":- p(X).",
-        "pqr.q": "q :- p(X), q(X,Y).  q :- p(X), r(X,Y).",
-        "exo.db": "s(a1). [exogenous] s(a3). r(a3,a3).",
-    }.items():
-        path = tmp_path / name
-        path.write_text(text)
-        paths[name] = str(path)
-    return paths
+    write_files(tmp_path, FILES)
+    return {name: str(tmp_path / name) for name in FILES}
 
 
 def run(capsys, *argv):
@@ -49,130 +29,50 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_responsibility_text_and_json(files, capsys):
-    code, out, _ = run(
-        capsys, "responsibility", "--instance", files["chain.db"], "--query", files["chain.q"],
-        "--tuple", "s(a3)",
-    )
-    assert code == 0 and out == "1\n"
-    code, out, _ = run(
-        capsys, "responsibility", "--instance", files["chain.db"], "--query", files["chain.q"],
-        "--tuple", "s(a3)", "--json",
-    )
-    assert code == 0
-    assert out == '{"tuple":"s(a3)","responsibility":"1/1"}\n'
+@pytest.mark.parametrize("row", REQUESTS, ids=lambda row: row.name)
+def test_text_output_is_pinned(tmp_path, monkeypatch, capsys, row):
+    monkeypatch.chdir(tmp_path)
+    write_files(tmp_path, row.files)
+    assert run(capsys, *row.args) == (row.code, row.out, row.err)
 
 
-def test_causes_empty_instance_exits_zero(files, capsys):
-    code, out, _ = run(
-        capsys, "causes", "--instance", files["empty.db"], "--query", files["chain.q"], "--json"
-    )
-    assert code == 0
-    assert json.loads(out) == {"causes": []}
+@pytest.fixture(scope="module")
+def pqr_scale(tmp_path_factory):
+    """1 033 tuples in 300 one-key components: the instance as written and with its
+    lines shuffled, its two constraints in both orders, and one atom."""
+    directory = tmp_path_factory.mktemp("pqr_scale")
+    text = serialize_instance(pqr_instance(random.Random(1), 300))
+    lines = text.splitlines(keepends=True)
+    random.Random(2).shuffle(lines)
+    rules = [":- p(X), q(X,Y).\n", ":- p(X), r(X,Y).\n"]
+    write_files(directory, {"written.db": text, "shuffled.db": "".join(lines),
+                            "qr.dc": "".join(rules), "rq.dc": "".join(reversed(rules)),
+                            "atom.db": "q(k5,y0).\n"})
+    return directory
 
 
-def test_repairs_c_semantics(files, capsys):
-    code, out, _ = run(
-        capsys, "repairs", "--semantics", "c", "--instance", files["pqr.db"],
-        "--query", files["pqr.dc"], "--json",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["repairs"] == [
-        {"kept": ["p(e)", "q(a,b)", "r(a,c)"], "removed": ["p(a)"]}
-    ]
+@pytest.mark.parametrize("request_args", [
+    ["mrc", "--json"],
+    ["cqa", "--semantics", "c", "--atoms", "atom.db", "--json"],
+    ["responsibility", "--tuple", "q(k5,y0)", "--json"],
+], ids=["mrc", "cqa-c", "responsibility"])
+def test_fact_and_rule_order_leave_the_json_unchanged(pqr_scale, monkeypatch, capsys,
+                                                      request_args):
+    monkeypatch.chdir(pqr_scale)
+    outputs = {run(capsys, *request_args, "--instance", db, "--query", dc)
+               for db in ("written.db", "shuffled.db") for dc in ("qr.dc", "rq.dc")}
+    assert len(outputs) == 1
+    code, _, err = outputs.pop()
+    assert (code, err) == (0, "")
 
 
-def test_contingency_and_mrc(files, capsys):
-    code, out, _ = run(
-        capsys, "contingency", "--instance", files["pqr.db"], "--query", files["pqr.dc"],
-        "--tuple", "q(a,b)", "--json",
-    )
-    assert code == 0
-    assert json.loads(out) == {"tuple": "q(a,b)", "contingencies": [["r(a,c)"]]}
-    code, out, _ = run(
-        capsys, "mrc", "--instance", files["pqr.db"], "--query", files["pqr.dc"], "--json"
-    )
-    assert json.loads(out) == {"most_responsible": ["p(a)"], "responsibility": "1/1"}
-
-
-def test_repair_check(files, capsys):
-    code, out, _ = run(
-        capsys, "repair-check", "--instance", files["chain.db"], "--query", files["chain.q"],
-        "--candidate", files["d1.db"], "--json",
-    )
-    assert code == 0
-    assert json.loads(out)["is_s_repair"] is True  # the instance minus s(a3)
-    code, out, _ = run(
-        capsys, "repair-check", "--instance", files["chain.db"], "--query", files["chain.q"],
-        "--candidate", files["notmax.db"],
-    )
-    assert out == "false\n"  # consistent but not maximal: s(a4) could come back
-    code, out, _ = run(
-        capsys, "repair-check", "--instance", files["chain.db"], "--query", files["chain.q"],
-        "--candidate", files["chain.db"],
-    )
-    assert out == "false\n"  # the instance itself is inconsistent
-
-
-def test_repair_size(files, capsys):
-    code, out, _ = run(
-        capsys, "repair-size", "--instance", files["chain.db"], "--query", files["chain.q"],
-        "--tuple", "s(a3)", "--min", "5", "--json",
-    )
-    assert code == 0
-    assert json.loads(out) == {"tuple": "s(a3)", "min": 5, "satisfied": True}
-
-
-def test_cqa(files, capsys):
-    code, out, _ = run(
-        capsys, "cqa", "--semantics", "s", "--instance", files["pqr.db"],
-        "--query", files["pqr.dc"], "--atoms", files["atoms_pe.db"],
-    )
-    assert code == 0 and out == "true\n"
-    code, out, _ = run(
-        capsys, "cqa", "--semantics", "c", "--instance", files["pqr.db"],
-        "--query", files["pqr.dc"], "--atoms", files["atoms_pa.db"],
-    )
-    assert out == "false\n"
-
-
-def test_diagnose(files, capsys):
-    code, out, _ = run(
-        capsys, "diagnose", "--instance", files["trio.db"], "--query", files["chain.q"], "--json"
-    )
-    assert code == 0
-    assert json.loads(out) == {"minimality": "s", "diagnoses": [["s(a3)"], ["s(a4)"]]}
-    code, out, _ = run(
-        capsys, "diagnose", "--instance", files["trio.db"], "--query", files["chain.q"],
-        "--tuple", "s(a4)", "--minimality", "c", "--json",
-    )
-    assert json.loads(out) == {
-        "tuple": "s(a4)",
-        "minimality": "c",
-        "diagnoses": [["s(a4)"]],
-    }
-
-
-def test_emit_theory_sections(files, capsys):
-    code, out, _ = run(
-        capsys, "emit-theory", "--instance", files["trio.db"], "--query", files["chain.q"]
-    )
-    assert code == 0
-    for label in ("% (a)", "% (b)", "% (c)", "% normality defaults"):
-        assert label in out
-
-
-def test_encode_graph(files, capsys):
-    code, out, _ = run(
-        capsys, "encode-graph", "--graph", files["graph.txt"], "--vertex", "v", "--json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["tuple"] == "ver(v)"
-    assert "edges(u,v,1)." in payload["instance"]
-    assert "edges(u,v,2)." in payload["instance"]
-    assert payload["query"].startswith("q :- ver(")
+def test_c_repairs_limit_holds_at_scale(pqr_scale, monkeypatch, capsys):
+    # 52 one-edge components with two minimum choices each: 2^52 c-repairs.
+    monkeypatch.chdir(pqr_scale)
+    argv = ["repairs", "--semantics", "c", "--limit", "1000",
+            "--instance", "written.db", "--query", "qr.dc"]
+    assert run(capsys, *argv) == (
+        1, "", "error: resource limit exceeded: hitting-set result budget exceeded: > 1000\n")
 
 
 # Only "\n" ends a line of a graph file, as in instance and rule text; any other
@@ -187,20 +87,6 @@ def test_graph_file_lines_end_only_at_newline(files, tmp_path, capsys, text):
     expected = run(capsys, "encode-graph", "--graph", files["graph.txt"], "--vertex", "u")
     assert expected[0] == 0
     assert run(capsys, "encode-graph", "--graph", str(path), "--vertex", "u") == expected
-
-
-def test_oracle_subcommands(files, capsys):
-    code, out, _ = run(
-        capsys, "oracle", "responsibility", "--instance", files["chain.db"],
-        "--query", files["chain.q"], "--tuple", "s(a4)", "--json",
-    )
-    assert code == 0
-    assert json.loads(out) == {"tuple": "s(a4)", "responsibility": "1/2"}
-    code, out, _ = run(
-        capsys, "oracle", "min-hs", "--instance", files["chain.db"],
-        "--query", files["chain.q"], "--tuple", "r(a4,a3)", "--json",
-    )
-    assert json.loads(out) == {"tuple": "r(a4,a3)", "min_hs_size": 2}
 
 
 # At 120 columns the usage fits on one line on every supported Python; at 80,
@@ -237,44 +123,6 @@ def test_json_output_is_byte_stable(files, capsys):
         )
         outputs.add(out)
     assert len(outputs) == 1
-
-
-DOMAIN_ERRORS = [
-    (["repair-size", "--instance", "pqr.db", "--query", "pqr.dc", "--tuple", "p(a)", "--min", "1"],
-     "expected exactly one constraint, found 2"),
-    (["diagnose", "--instance", "pqr.db", "--query", "pqr.q"],
-     "expected a single conjunctive query, found 2 disjuncts"),
-    (["cqa", "--instance", "pqr.db", "--query", "pqr.dc", "--atoms", "empty.db"],
-     "the atoms file contains no facts"),
-    (["encode-graph", "--graph", "three.txt", "--vertex", "u"],
-     "graph file line 1: expected 'u v' or a lone vertex"),
-]
-
-
-def test_domain_error_exits_one(files, capsys):
-    code, _, err = run(
-        capsys, "responsibility", "--instance", files["chain.db"], "--query", files["chain.q"],
-        "--tuple", "zz(a)",
-    )
-    assert code == 1 and "error:" in err
-    code, _, err = run(
-        capsys, "causes", "--instance", "no-such-file.db", "--query", files["chain.q"]
-    )
-    assert code == 1
-    for argv, message in DOMAIN_ERRORS:
-        assert run(capsys, *(files.get(a, a) for a in argv)) == (1, "", f"error: {message}\n")
-
-
-def test_resource_limit_message(files, tmp_path, capsys):
-    big = tmp_path / "m8.db"
-    big.write_text(M8_DB)
-    quer = tmp_path / "m8.q"
-    quer.write_text(M8_Q)
-    code, _, err = run(
-        capsys, "contingency", "--instance", str(big), "--query", str(quer),
-        "--tuple", "a(1)", "--limit", "5",
-    )
-    assert code == 1 and "resource limit exceeded" in err
 
 
 def test_non_utf8_input_exits_one(files, tmp_path, capsys):
@@ -329,127 +177,6 @@ def test_usage_error_exits_two(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["responsibility", "--instance", files["chain.db"]])
     assert exc.value.code == 2
-
-
-M3_DB = "a(1). b(1). a(2). b(2). a(3). b(3)."
-M3_Q = "q :- a(X), b(X)."
-
-TEXT_CASES = {
-    "repairs-s": (
-        ["repairs", "--instance", "pqr.db", "--query", "pqr.dc"],
-        "removed: {p(a)} kept: {p(e), q(a,b), r(a,c)}\n"
-        "removed: {q(a,b), r(a,c)} kept: {p(a), p(e)}\n",
-    ),
-    "repairs-s-chain": (
-        ["repairs", "--instance", "chain.db", "--query", "chain.q"],
-        "removed: {r(a3,a3), r(a4,a3)} kept: {r(a2,a1), s(a2), s(a3), s(a4)}\n"
-        "removed: {r(a3,a3), s(a4)} kept: {r(a2,a1), r(a4,a3), s(a2), s(a3)}\n"
-        "removed: {s(a3)} kept: {r(a2,a1), r(a3,a3), r(a4,a3), s(a2), s(a4)}\n",
-    ),
-    "repairs-c": (
-        ["repairs", "--semantics", "c", "--instance", "pqr.db", "--query", "pqr.dc"],
-        "removed: {p(a)} kept: {p(e), q(a,b), r(a,c)}\n",
-    ),
-    "contingency": (
-        ["contingency", "--instance", "m3.db", "--query", "m3.q", "--tuple", "a(1)"],
-        "{a(2), a(3)}\n{a(2), b(3)}\n{a(3), b(2)}\n{b(2), b(3)}\n",
-    ),
-    "contingency-empty-set": (
-        ["contingency", "--instance", "chain.db", "--query", "chain.q", "--tuple", "s(a3)"],
-        "{}\n",
-    ),
-    "mrc": (
-        ["mrc", "--instance", "m3.db", "--query", "m3.q"],
-        "a(1)\na(2)\na(3)\nb(1)\nb(2)\nb(3)\n",
-    ),
-    "diagnose": (
-        ["diagnose", "--instance", "chain.db", "--query", "chain.q"],
-        "{r(a3,a3), r(a4,a3)}\n{r(a3,a3), s(a4)}\n{s(a3)}\n",
-    ),
-    "diagnose-tuple-c": (
-        ["diagnose", "--instance", "chain.db", "--query", "chain.q", "--tuple", "s(a4)",
-         "--minimality", "c"],
-        "{r(a3,a3), s(a4)}\n",
-    ),
-    "diagnose-json-constraint": (
-        ["diagnose", "--instance", "chain.db", "--query", "chain.dc", "--json"],
-        '{"minimality":"s","diagnoses":[["r(a3,a3)","r(a4,a3)"],["r(a3,a3)","s(a4)"],["s(a3)"]]}\n',
-    ),
-    "emit-theory-constraint": (
-        ["emit-theory", "--instance", "atoms_pa.db", "--query", "p.dc"],
-        "% (a) predicate completion and unique names\n"
-        "forall x1 (p(x1) <-> x1 = a)\n"
-        "forall x1 (end_p(x1) <-> x1 = a)\n"
-        "% (b) constraint under normality assumptions\n"
-        "forall X ~(p(X) /\\ end_p(X) /\\ ~ab_p(X))\n"
-        "% (c) inclusion dependencies\n"
-        "forall x1 (ab_p(x1) -> p(x1))\n"
-        "forall x1 (end_p(x1) -> p(x1))\n"
-        "forall x1 (ab_p(x1) -> end_p(x1))\n"
-        "% normality defaults\n"
-        "forall x1 (ab_p(x1) -> false)\n",
-    ),
-    "mrc-json-vacuous": (
-        ["mrc", "--instance", "exo.db", "--query", "chain.q", "--json"],
-        '{"most_responsible":[],"responsibility":"0/1"}\n',
-    ),
-    "encode-graph-lone-vertex": (
-        ["encode-graph", "--graph", "lone.txt", "--vertex", "w"],
-        "edges(u,v,1).\nedges(u,v,2).\nedges(u,v,3).\nver(u).\nver(v).\nver(w).\n\n"
-        "q :- ver(V1), ver(V2), edges(V1,V2,E).\n\nver(w)\n",
-    ),
-    "oracle-causes": (
-        ["oracle", "causes", "--instance", "chain.db", "--query", "chain.q"],
-        "r(a3,a3)\nr(a4,a3)\ns(a3)\ns(a4)\n",
-    ),
-    "oracle-repairs": (
-        ["oracle", "repairs", "--instance", "pqr.db", "--query", "pqr.dc"],
-        "removed: {q(a,b), r(a,c)} kept: {p(a), p(e)}\n"
-        "removed: {p(a)} kept: {p(e), q(a,b), r(a,c)}\n",
-    ),
-    "oracle-repairs-c": (
-        ["oracle", "repairs", "--semantics", "c", "--instance", "chain.db", "--query", "chain.q"],
-        "removed: {s(a3)} kept: {r(a2,a1), r(a3,a3), r(a4,a3), s(a2), s(a4)}\n",
-    ),
-    "oracle-contingencies": (
-        ["oracle", "contingencies", "--instance", "m3.db", "--query", "m3.q", "--tuple", "a(1)"],
-        "{a(2), a(3)}\n{a(2), b(3)}\n{a(3), b(2)}\n{b(2), b(3)}\n",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(TEXT_CASES))
-def test_text_output_is_pinned(files, tmp_path, capsys, case):
-    (tmp_path / "m3.db").write_text(M3_DB)
-    (tmp_path / "m3.q").write_text(M3_Q)
-    files = {**files, "m3.db": str(tmp_path / "m3.db"), "m3.q": str(tmp_path / "m3.q")}
-    argv, expected = TEXT_CASES[case]
-    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
-    assert (code, out, err) == (0, expected, "")
-
-
-@pytest.mark.parametrize("limit, code", [("4", 0), ("3", 1)])
-def test_contingency_limit_counts_the_answer_only(tmp_path, capsys, limit, code):
-    (tmp_path / "m3.db").write_text(M3_DB)
-    (tmp_path / "m3.q").write_text(M3_Q)
-    argv = ["contingency", "--instance", str(tmp_path / "m3.db"), "--query",
-            str(tmp_path / "m3.q"), "--tuple", "a(1)", "--limit", limit]
-    got = run(capsys, *argv)
-    if code == 0:
-        assert got == (0, TEXT_CASES["contingency"][1], "")
-    else:
-        assert got[:2] == (1, "") and "resource limit exceeded" in got[2]
-
-
-@pytest.mark.parametrize("limit, code", [("1", 0), ("0", 1)])
-def test_c_repairs_limit_counts_c_repairs(files, capsys, limit, code):
-    # pqr.db has 2 s-repairs, of which 1 is a c-repair.
-    argv = TEXT_CASES["repairs-c"][0] + ["--limit", limit]
-    got = run(capsys, *(files.get(a, a) for a in argv))
-    if code == 0:
-        assert got == (0, TEXT_CASES["repairs-c"][1], "")
-    else:
-        assert got[:2] == (1, "") and "resource limit exceeded" in got[2]
 
 
 def _subprocess_env():
