@@ -43,6 +43,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CausekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     try:
         if args.json:
             print(payload if isinstance(payload, str) else json.dumps(payload, separators=(",", ":")))
@@ -226,11 +229,10 @@ def _render_contingencies(t, sets):
 def _render_repairs(instance, semantics, removals, as_json):
     """Repairs given by their removed sets, in the given order: the JSON text
     with `as_json`, else lazy text lines (the other one is None). Each repair
-    cuts its removed positions out of one canonically ordered list of tuple
-    names (sorted from the file's order, `_read`, when the instance kept it),
-    or of the same names encoded once as JSON strings (escaped as
-    `json.dumps` escapes them); the JSON text is one join of those pieces."""
-    ordered = canonical_sort(vars(instance).get("_read") or instance.tuples)
+    cuts its removed positions out of the instance's canonical list of tuple
+    names (`Instance._sorted`), or of the same names encoded once as JSON
+    strings (escaped as `json.dumps` escapes them), joined once into JSON."""
+    ordered = instance._sorted()
     position = dict(zip(ordered, range(len(ordered))))
     names = list(map(str, ordered))
     cuts = [sorted(map(position.__getitem__, removed)) for removed in removals]
@@ -294,7 +296,7 @@ def _cmd_repair_check(args):
     instance, dcs = _load_query(args, _as_dcs)
     candidate = parse_instance(_read(args.candidate))
     verdict = repair.is_s_repair(instance, dcs, candidate.tuples)
-    names = _tuple_list(vars(candidate).get("_read") or candidate.tuples)
+    names = list(map(str, candidate._sorted()))
     return [str(verdict).lower()], {"candidate": names, "is_s_repair": verdict}
 
 
@@ -307,7 +309,7 @@ def _cmd_repair_size(args):
 
 def _cmd_cqa(args):
     instance, dcs = _load_query(args, _as_dcs)
-    atoms = canonical_sort(parse_instance(_read(args.atoms)).tuples)
+    atoms = parse_instance(_read(args.atoms))._sorted()
     if not atoms:
         raise CausekitError("the atoms file contains no facts")
     verdict = cqa.consistent_answer(

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .causal import _require_endogenous, hitting_framework
 from .hitset import minimal_hitting_sets
-from .model import GroundTuple, Instance, canonical_sort, format_constant
+from .model import GroundTuple, Instance, format_constant
 from .query import UCQ, Constant, DenialConstraint, Disjunct
 from .repair import Repair, check_semantics, repairs
 from .support import SupportFamily, endogenous_support
@@ -99,8 +99,9 @@ def render_theory(instance: Instance, q: Disjunct) -> str:
         instance.constants()
         | {t.symbol for a in q.atoms for t in a.terms if isinstance(t, Constant)}
     )
-    groups = instance._relations
-    by_relation = {rel: canonical_sort(groups.get((rel, arities[rel]), ())) for rel in relations}
+    by_relation = {rel: [] for rel in relations}
+    for t in instance._sorted():
+        by_relation[t.relation].append(t)
     endo_by_relation = {
         rel: [t for t in ts if t in instance.endo] for rel, ts in by_relation.items()
     }

@@ -3,6 +3,7 @@
 An instance is a finite set of ground facts split into an endogenous part
 (tuples admissible as causes) and an exogenous part (fixed background
 tuples). Instances are immutable after construction and safe to share.
+Each lists its tuples canonically through one method, `Instance._sorted`.
 """
 
 from __future__ import annotations
@@ -87,15 +88,19 @@ class Instance:
     def tuples(self) -> frozenset[GroundTuple]:
         return self.endo | self.exo if self.exo else self.endo
 
+    def _sorted(self) -> list[GroundTuple]:
+        """Every tuple in canonical order, from `_read` when kept: one pass per sorted run."""
+        return sorted(vars(self).get("_read") or self.tuples)
+
     @cached_property
     def _relations(self) -> dict[tuple[str, int], list[GroundTuple]]:
         """The tuples by (relation, arity), as the join reads them: in the text
         order `parse_instance` keeps as `_read` (never dropped, so threads that
-        group at once agree, as the shared columns need), else in set order.
+        group at once agree, as the shared columns need), else canonically.
         Grouped when first read, by a stable sort on the relation name (each
         has one arity), and shared with the all-endogenous view; outside equality."""
         relation = itemgetter(0)
-        ordered = sorted(vars(self).get("_read") or chain(self.endo, self.exo), key=relation)
+        ordered = sorted(vars(self).get("_read") or self._sorted(), key=relation)
         groups = [list(group) for _, group in groupby(ordered, relation)]
         return {(g[0].relation, len(g[0].args)): g for g in groups}
 
@@ -159,7 +164,7 @@ def _read_facts(text: str) -> Instance | None:
     sections, rels, args = pieces[1::4], pieces[2::4], pieces[3::4]
     endo: set[GroundTuple] = set()
     exo: set[GroundTuple] = set()
-    read: list[GroundTuple] = []  # every section run's facts, in text order
+    read: list[GroundTuple] = []  # every run's facts in text order; `_read` drops repeats
     firsts: dict[tuple[str, str], None] = {}
     # The facts after each header (or before any, at -1) are one run, read by maps in C.
     heads = [-1, *compress(range(len(sections)), sections)]
@@ -180,8 +185,7 @@ def _read_facts(text: str) -> Instance | None:
         instance = Instance(frozenset(endo), frozenset(exo), spelling)
     except CausekitError:  # an arity conflict or a fact in both sections
         return None
-    if len(read) == len(instance):  # no fact repeats: `_relations` and the CLI read this order
-        vars(instance)["_read"] = read
+    vars(instance)["_read"] = read if len(read) == len(instance) else list(dict.fromkeys(read))
     return instance
 
 
@@ -248,9 +252,10 @@ def serialize_instance(instance: Instance) -> str:
     outside `[a-z][a-z0-9_]*`, no arguments, or a newline in a constant.
     """
     lines: list[str] = []
+    ordered = instance._sorted()
 
-    def emit(tuples: frozenset[GroundTuple]) -> None:
-        for t in canonical_sort(tuples):
+    def emit(tuples: Iterable[GroundTuple]) -> None:
+        for t in tuples:
             relation_ok = _SPELLING.match(t.relation) and t.relation.lower() == t.relation
             if not (relation_ok and t.args) or any("\n" in a for a in t.args):
                 raise CausekitError(f"fact {t.relation!r}{t.args!r} has no form in the instance format")
@@ -258,12 +263,10 @@ def serialize_instance(instance: Instance) -> str:
             rel = rel if _SPELLING.match(rel) and rel.lower() == t.relation else t.relation
             lines.append(f"{rel}({','.join(format_constant(a) for a in t.args)}).")
 
+    if instance.exo and instance.endo:
+        lines.append("[endogenous]")
+    emit(filter(instance.endo.__contains__, ordered))
     if instance.exo:
-        if instance.endo:
-            lines.append("[endogenous]")
-            emit(instance.endo)
         lines.append("[exogenous]")
-        emit(instance.exo)
-    else:
-        emit(instance.endo)
+        emit(filter(instance.exo.__contains__, ordered))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -8,8 +8,8 @@ hyperedges every cause computation hits against.
 Homomorphisms come from a join planned per disjunct and call: atoms are
 taken greedily by most bound positions (constants or variables bound
 earlier), then smallest extension, then atom index. Each `Instance`
-partitions its tuples by (relation, arity) once, as lists in text order
-(`Instance._relations`), so the join's order is not the hash seed's. A step
+partitions its tuples by (relation, arity) once (`Instance._relations`), in
+text order or canonically, so the join never follows the hash seed. A step
 filters its atom's extension (semijoin) on each bound position, against the
 constant or the values the variable took in the step that bound it. The
 first filter is one `compress` pass over a column (the extension's values

@@ -75,6 +75,29 @@ def test_c_repairs_limit_holds_at_scale(pqr_scale, monkeypatch, capsys):
         1, "", "error: resource limit exceeded: hitting-set result budget exceeded: > 1000\n")
 
 
+# `main` in a process whose address space is capped at about 400 MB, the cap set
+# by that process alone.
+_UNDER_MEMORY_CAP = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (400_000_000, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from causekit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_running_out_of_memory_is_one_error_line(pqr_scale):
+    # Without --limit the 2^52 c-repairs are built until memory runs out.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    argv = ["repairs", "--semantics", "c", "--instance", "written.db", "--query", "qr.dc"]
+    proc = subprocess.run([sys.executable, "-c", _UNDER_MEMORY_CAP, *argv], cwd=pqr_scale,
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 # Only "\n" ends a line of a graph file, as in instance and rule text; any other
 # line break inside a comment belongs to the comment.
 @pytest.mark.parametrize(

@@ -302,7 +302,7 @@ _plain_facts = st.builds(
 @given(st.lists(_plain_facts, unique=True, max_size=12), st.data())
 def test_each_extension_lists_its_facts_in_text_order(facts, data):
     # Two sections of shuffled facts, sometimes with one fact written twice in
-    # its section: then the extensions fall back to set order.
+    # its section: the extensions list each fact where it was first written.
     facts = data.draw(st.permutations(facts))
     cut = data.draw(st.integers(0, len(facts)))
     sections = [facts[:cut], facts[cut:]]
@@ -312,13 +312,17 @@ def test_each_extension_lists_its_facts_in_text_order(facts, data):
         own.insert(data.draw(st.integers(0, len(own))), again)
     endo, exo = ([f"{t}." for t in section] for section in sections)
     instance = parse_instance("\n".join([*endo, "[exogenous]", *exo]))
-    repeated = len(endo) + len(exo) > len(facts)
     expected: dict = {}
-    for t in [*instance.endo, *instance.exo] if repeated else sections[0] + sections[1]:
+    for t in dict.fromkeys(sections[0] + sections[1]):
         expected.setdefault((t.relation, len(t.args)), []).append(t)
     view = instance.all_endogenous()  # groups the extensions on this instance's behalf
     assert view._relations is instance._relations
     assert instance._relations == expected
+    # An instance built from sets lists each extension in canonical order.
+    built = Instance(instance.endo, instance.exo)
+    assert built._relations == {key: canonical_sort(ts) for key, ts in expected.items()}
+    for listed in (instance, view, built):
+        assert listed._sorted() == canonical_sort(instance.tuples)
     written = parse_instance(serialize_instance(instance))
     for extension in written._relations.values():
         runs = [t for t in extension if t in written.endo], [t for t in extension if t in written.exo]

@@ -353,16 +353,23 @@ def test_minimal_sets_with_many_sets_of_one_size():
     assert len(kept) == 17 and kept[0] == frozenset("ab")
 
 
-# The images of a chain query on a parsed two-section instance, in the order
-# the join emits them, each written in canonical order.
+# The images of a chain query on one two-section instance, in the order the
+# join emits them, each written in canonical order: as plain text, as built
+# from its sets, as text that repeats a fact and as text with a quoted constant
+# (which the token reader reads), one after the other.
 _IMAGE_ORDER = """
-from causekit import parse_instance, parse_program
+from causekit import Instance, parse_instance, parse_program
 from causekit.support import _images
 text = " ".join(f"s(a{i}). r(a{i},a{3 * i % 17}). r(a{i},a{5 * i % 17})." for i in range(1, 17))
-instance = parse_instance(text + " [exogenous] s(b). r(b,a1). r(a2,b).")
+text += " [exogenous] s(b). r(b,a1). r(a2,b)."
+plain = parse_instance(text)
 [query] = parse_program("q :- s(X), r(X,Y), s(Y).").disjuncts
-for image in _images(query, instance):
-    print(*sorted(image))
+for instance in [plain, Instance(set(plain.endo), set(plain.exo)),
+                 parse_instance(text.replace("s(a2).", "s(a2). r(a1,a3). s(a9).")),
+                 parse_instance(text.replace("s(a5).", 's("a5").'))]:
+    assert instance == plain
+    for image in _images(query, instance):
+        print(*sorted(image))
 """
 
 
@@ -376,4 +383,4 @@ def test_join_order_does_not_follow_the_hash_seed():
                               capture_output=True, text=True, timeout=60).stdout.splitlines()
 
     first = run(1)
-    assert len(first) == 34 and run(4) == first
+    assert len(first) == 4 * 34 and run(4) == first
