@@ -3,7 +3,8 @@
 An instance is a finite set of ground facts split into an endogenous part
 (tuples admissible as causes) and an exogenous part (fixed background
 tuples). Instances are immutable after construction and safe to share.
-Each lists its tuples canonically through one method, `Instance._sorted`.
+Each lists its tuples canonically through one method, `Instance._sorted`, and
+caches each view it derives (`tuples`, `_read`, `_relations`, `_columns`) on first read.
 """
 
 from __future__ import annotations
@@ -84,24 +85,27 @@ class Instance:
                     f"arity conflict for relation '{relation}': {arities[relation]} vs {arity}"
                 )
 
-    @property
+    @cached_property
     def tuples(self) -> frozenset[GroundTuple]:
         return self.endo | self.exo if self.exo else self.endo
 
+    @cached_property
+    def _read(self) -> list[GroundTuple]:
+        """Every tuple in join order: canonical, unless `_read_facts` stored text order here."""
+        return sorted(self.tuples)
+
     def _sorted(self) -> list[GroundTuple]:
-        """Every tuple in canonical order, from `_read` when kept: one pass per sorted run."""
-        return sorted(vars(self).get("_read") or self.tuples)
+        """Every tuple in canonical order, from `_read`: one pass per sorted run."""
+        return sorted(self._read)
 
     @cached_property
     def _relations(self) -> dict[tuple[str, int], list[GroundTuple]]:
-        """The tuples by (relation, arity), as the join reads them: in the text
-        order `parse_instance` keeps as `_read` (never dropped, so threads that
-        group at once agree, as the shared columns need), else canonically.
+        """The tuples by (relation, arity), in the order of `_read` (fixed once
+        read, so threads that group at once agree, as the shared columns need).
         Grouped when first read, by a stable sort on the relation name (each
         has one arity), and shared with the all-endogenous view; outside equality."""
         relation = itemgetter(0)
-        ordered = sorted(vars(self).get("_read") or self._sorted(), key=relation)
-        groups = [list(group) for _, group in groupby(ordered, relation)]
+        groups = [list(group) for _, group in groupby(sorted(self._read, key=relation), relation)]
         return {(g[0].relation, len(g[0].args)): g for g in groups}
 
     @cached_property
@@ -121,12 +125,12 @@ class Instance:
 
     def all_endogenous(self) -> "Instance":
         """The same facts with every tuple treated as endogenous: this instance
-        when none is exogenous, else a view sharing its validated partition."""
+        when none is exogenous, else a view of its cached union sharing its other views."""
         if not self.exo:
             return self
         view = object.__new__(Instance)
-        vars(view).update(vars(self), endo=self.tuples, exo=frozenset(), _relations=self._relations,
-                         _columns=self._columns)
+        vars(view).update(endo=self.tuples, exo=frozenset(), spelling=self.spelling, _read=self._read,
+                          _relations=self._relations, _columns=self._columns)
         return view
 
     def __len__(self) -> int:
@@ -165,22 +169,18 @@ def _read_facts(text: str) -> Instance | None:
     endo: set[GroundTuple] = set()
     exo: set[GroundTuple] = set()
     read: list[GroundTuple] = []  # every run's facts in text order; `_read` drops repeats
-    firsts: dict[tuple[str, str], None] = {}
     # The facts after each header (or before any, at -1) are one run, read by maps in C.
     heads = [-1, *compress(range(len(sections)), sections)]
     for head, end in zip(heads, [*heads[1:], len(sections)]):
         target = exo if head >= 0 and sections[head] == "exogenous" else endo
-        spelled = rels[head + 1:end]
-        lowered = list(map(str.lower, spelled))
-        firsts.update(dict.fromkeys(zip(lowered, spelled)))
+        lowered = list(map(str.lower, rels[head + 1:end]))
         # tuple.__new__ skips the NamedTuple's generated __new__, a Python function.
         argss = map(tuple, map(str.split, args[head + 1:end], repeat(",")))
         run = list(map(tuple.__new__, repeat(GroundTuple), zip(lowered, argss)))
         target.update(run)
         read += run
-    spelling: dict[str, str] = {}
-    for relation, rel in firsts:
-        spelling.setdefault(relation, rel)
+    names = list(filter(None, rels[::-1]))  # last-first, so the first spelling is kept
+    spelling = dict(zip(map(str.lower, names), names))
     try:
         instance = Instance(frozenset(endo), frozenset(exo), spelling)
     except CausekitError:  # an arity conflict or a fact in both sections

@@ -55,8 +55,8 @@ FILES = {
     # reuses it twice; s's column is built for the second rule.
     "cols.db": "s(a). s(b). s(c). r(a,b). r(b,a). r(a,c). r(b,d).\n[exogenous] r(c,c). s(d).\n",
     "cols.q": "q :- s(X), r(X,Y), r(Y,X).\nq :- r(a,Y), s(Y).\n",
-    # Unsorted two-section files that repeat a fact, so the join reads the instance
-    # in set order; the bytes are canonical either way.
+    # Unsorted two-section files that repeat a fact; the join reads each fact where
+    # it is first written, and the bytes are canonical either way.
     "unsorted.db": "q(b,a). p(b). q(a,b). p(a). p(b).\n[exogenous] r(b). q(c,a).\n",
     "unsorted-candidate.db": "q(c,a). r(b). p(b). p(a). p(b).\n",
     "unsorted.q": ":- p(X), q(X,Y).\n",
@@ -282,6 +282,9 @@ REQUESTS = [
     Request("oracle-min-hs-json",
             "oracle min-hs --instance chain.db --query chain.q --tuple r(a4,a3) --json", 0,
             '{"tuple":"r(a4,a3)","min_hs_size":2}\n'),
+    Request("oracle-min-hs-exogenous-only",
+            "oracle min-hs --instance exo.db --query chain.q --tuple s(a1)", 1, "",
+            "error: the query holds on exogenous tuples alone; no hitting sets\n"),
     Request("error-unknown-tuple",
             "responsibility --instance chain.db --query chain.q --tuple zz(a)", 1, "",
             "error: tuple zz(a) is not an endogenous tuple of the instance\n"),

@@ -131,6 +131,11 @@ def test_all_endogenous_view():
     assert view.exo == frozenset() and view.spelling == split.spelling
     assert view.all_endogenous() is view
     assert split.all_endogenous() is not split
+    # The union is built once and is the view's partition; the canonical
+    # listing is the order of an instance not read from text.
+    assert split.tuples is split.tuples
+    assert split.all_endogenous().endo is split.tuples
+    assert Instance(split.endo, split.exo)._read == canonical_sort(split.tuples)
 
 
 def test_size_is_sum_of_partition_sizes():

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from causekit import ResourceLimitError, parse_program
+from causekit import CausekitError, ResourceLimitError, parse_program
 from causekit import oracle
 
-from fixtures import CHAIN_DB, CHAIN_Q, M8_DB, M8_Q, f, fs, inst, ucq
+from fixtures import CHAIN_DB, CHAIN_Q, M8_DB, M8_Q, PQR_DB, PQR_DCS, TRIO_SPLIT_DB, dcs, f, fs, inst, ucq
 
 
 def test_oracle_causes_ex1():
@@ -44,6 +44,23 @@ def test_oracle_min_hs():
     assert oracle.min_hs(vertices, edges, forced=f("r(a4,a3)")) == 2
     assert oracle.min_hs(vertices, edges, forced=f("s(a2)")) == 2  # padded
     assert oracle.min_hs({"a"}, []) == 0
+
+
+@pytest.mark.parametrize(
+    "ask, message",
+    [
+        (lambda: oracle.contingencies(inst(TRIO_SPLIT_DB), ucq(CHAIN_Q), f("r(a4,a3)")),
+         "tuple r(a4,a3) is not an endogenous tuple of the instance"),
+        (lambda: oracle.repairs(inst(PQR_DB), dcs(PQR_DCS), "x"),
+         "unknown repair semantics 'x'; use 's' or 'c'"),
+        (lambda: oracle.min_hs({"a"}, [], forced="b"), "vertex 'b' not among the vertices"),
+    ],
+    ids=["exogenous-tuple", "unknown-semantics", "forced-outside-vertices"],
+)
+def test_oracle_rejects_bad_input(ask, message):
+    with pytest.raises(CausekitError) as caught:
+        ask()
+    assert str(caught.value) == message
 
 
 def test_oracle_repairs_consistent_instance():

@@ -46,6 +46,7 @@ def test_evaluate_false_after_removing_counterfactual_tuple():
 def test_support_family_two_constraint_views():
     fam = support_family(ucq(PQR_UCQ), inst(PQR_DB))
     assert set(fam.sets) == {fs("p(a)", "q(a,b)"), fs("p(a)", "r(a,c)")}
+    assert len(fam) == 2 and list(fam) == list(fam.sets)
 
 
 def test_support_family_self_join():
